@@ -25,8 +25,10 @@ from .fibindex import (
     drop_end_vertex,
     fib,
     rank,
+    rank_masks,
     shift_identity_holds,
     unrank,
+    unrank_masks,
 )
 from .graphs import (
     IndependentSet,
@@ -42,6 +44,7 @@ from .graphs import (
     reduce_to_empty,
     toggle,
     toggle_path,
+    toggle_path_masks,
 )
 from .perms import (
     CycleForm,
@@ -100,12 +103,15 @@ __all__ = [
     "path_graph",
     "prime_family",
     "rank",
+    "rank_masks",
     "reduce_to_empty",
     "shift_identity_holds",
     "toggle",
     "toggle_path",
+    "toggle_path_masks",
     "toggle_permutation",
     "unrank",
+    "unrank_masks",
     "verify_all",
     "verify_count_and_transitivity",
     "verify_coxeter_relations",

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fibindex import fib, rank, unrank
-from .graphs import IndependentSet, PathGraph, toggle_path
+from .fibindex import fib, rank_masks, unrank_masks
+from .graphs import toggle_path_masks
 from .perms import DegreeMismatchError, Permutation
 
 __all__ = [
@@ -154,15 +154,11 @@ def toggle_permutation(n: int, k: int) -> Permutation:
 
     Sends the rank of I to the rank of the toggled set.  Built from the
     toggle and the rank bijection only, independently of
-    :func:`generator`, so equality of the two is a real check.
+    :func:`generator`, so equality of the two is a real check: the whole
+    table of sets of rank 1..f(n+2) is toggled at once and ranked again.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    pg = PathGraph(n)
-    images = []
-    for idx in range(1, fib(n + 2) + 1):
-        toggled = toggle_path(n, k, IndependentSet(pg, unrank(n, idx)))
-        images.append(rank(n, toggled.members))
-    return Permutation(images)
+    return Permutation(rank_masks(toggle_path_masks(k, unrank_masks(n))).tolist())

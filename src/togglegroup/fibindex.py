@@ -1,14 +1,27 @@
-"""Fibonacci numbers and the recursive rank bijection for path independent sets.
+"""Fibonacci numbers and the rank bijection for path independent sets.
 
 ``rank(n, members)`` assigns each independent set of the path on vertices
-1..n a position in 1..f(n+2), splitting on whether the last vertex is
-present: sets without vertex n keep their rank in the smaller path, sets
-with vertex n are shifted past them by f(n+1).  ``unrank`` inverts it.
+1..n a position in 1..f(n+2).  It is Zeckendorf's representation in
+disguise: vertex v carries the weight f(v+1), and
+
+    rank(n, I) = 1 + sum(f(v+1) for v in I).
+
+An independent set has no two adjacent vertices, so the weights it sums
+are non-consecutive Fibonacci numbers and every rank - 1 in 0..f(n+2)-1
+has exactly one such sum.  The rank does not depend on n beyond the range
+check.  ``unrank`` is greedy Zeckendorf decoding: from vertex n down, take
+v whenever f(v+1) still fits into the remainder.
+
+The same bijection works on whole tables of sets held as bitmasks (bit
+v-1 stands for vertex v): :func:`unrank_masks` lists the masks of ranks
+1..f(n+2) in order, and :func:`rank_masks` ranks an array of masks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "FIB_CEILING",
@@ -16,8 +29,10 @@ __all__ = [
     "drop_end_vertex",
     "fib",
     "rank",
+    "rank_masks",
     "shift_identity_holds",
     "unrank",
+    "unrank_masks",
 ]
 
 # f(64) ~ 1.6e13 already dwarfs anything enumerable; requests past the
@@ -56,22 +71,7 @@ def rank(n: int, members: Iterable[int]) -> int:
     """The index in 1..f(n+2) of an independent set of the path on 1..n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    cur = set(_checked_members(n, members))
-    acc = 0
-    m = n
-    while m > 2:
-        if m in cur:
-            acc += fib(m + 1)
-            cur.discard(m)
-            m -= 2
-        else:
-            m -= 1
-    # m is now 1 or 2 and cur is one of {}, {1}, {2}
-    if 2 in cur:
-        return acc + 3
-    if 1 in cur:
-        return acc + 2
-    return acc + 1
+    return 1 + sum(fib(v + 1) for v in _checked_members(n, members))
 
 
 def unrank(n: int, idx: int) -> frozenset[int]:
@@ -80,21 +80,41 @@ def unrank(n: int, idx: int) -> frozenset[int]:
         raise ValueError("n must be at least 1")
     if not 1 <= idx <= fib(n + 2):
         raise ValueError(f"index {idx} out of range 1..{fib(n + 2)}")
-    members: set[int] = set()
-    m = n
-    r = idx
-    while m > 2:
-        if r > fib(m + 1):
-            members.add(m)
-            r -= fib(m + 1)
-            m -= 2
+    members = []
+    r, v = idx - 1, n
+    while r:
+        weight = fib(v + 1)
+        if r >= weight:
+            # now r < f(v), so vertex v-1 cannot be taken
+            members.append(v)
+            r -= weight
+            v -= 2
         else:
-            m -= 1
-    if r == 2:
-        members.add(1)
-    elif r == 3:
-        members.add(2)
+            v -= 1
     return frozenset(members)
+
+
+def unrank_masks(n: int) -> np.ndarray:
+    """The bitmasks of the sets of rank 1..f(n+2) on the path on 1..n, in order.
+
+    Ranks 1..f(n+1) are the sets without vertex n; adding vertex n to the
+    sets of the path on 1..n-2 gives the remaining f(n) ranks, in order.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    shorter, masks = np.zeros(1, dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    for m in range(2, n + 1):
+        shorter, masks = masks, np.concatenate([masks, shorter | (1 << (m - 1))])
+    return masks
+
+
+def rank_masks(masks: np.ndarray) -> np.ndarray:
+    """The ranks of an array of independent-set bitmasks: 1 + sum of f(v+1)
+    over the set bits.  Independence is not checked."""
+    ranks = np.ones(masks.shape, dtype=np.int64)
+    for v in range(1, int(masks.max(initial=0)).bit_length() + 1):
+        ranks += ((masks >> (v - 1)) & 1) * fib(v + 1)
+    return ranks
 
 
 def drop_end_vertex(n: int, members: Iterable[int]) -> frozenset[int]:

@@ -3,13 +3,16 @@
 Toggling a vertex v either removes it from an independent set, adds it when
 the result stays independent, or leaves the set unchanged.  The path graph
 on vertices 1..n (edges between consecutive integers) gets a dedicated
-:class:`PathGraph` type whose independent sets enumerate in rank order.
+:class:`PathGraph` type whose independent sets enumerate in rank order,
+and a whole-table toggle on bitmasks (bit v-1 for vertex v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Union
+
+import numpy as np
 
 __all__ = [
     "IndependentSet",
@@ -25,6 +28,7 @@ __all__ = [
     "reduce_to_empty",
     "toggle",
     "toggle_path",
+    "toggle_path_masks",
 ]
 
 
@@ -181,12 +185,20 @@ def _toggle_members(g: Graph, v: int, members: frozenset[int]) -> frozenset[int]
 
 
 def _toggle_path_members(k: int, members: frozenset[int]) -> frozenset[int]:
-    # fast path used by orbit searches; vertices outside 1..n never occur
+    # the path toggle on bare members; vertices outside 1..n never occur
     if k in members:
         return members - {k}
     if k - 1 in members or k + 1 in members:
         return members
     return members | {k}
+
+
+def toggle_path_masks(k: int, masks: np.ndarray) -> np.ndarray:
+    """The toggle at vertex k applied to an array of independent-set
+    bitmasks of a path: a set holding k loses it, a set holding a
+    neighbour of k is unchanged, and any other set gains k."""
+    bit, neighbours = 1 << (k - 1), (5 << k) >> 2  # bits k-2 and k: vertices k-1, k+1
+    return masks ^ np.where(masks & neighbours, 0, bit)
 
 
 def toggle(g: Graph, v: int, independent: IndependentSet) -> IndependentSet:

@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .engine import build_chain
 from .families import (
     DiagonalSubgroupSpec,
@@ -27,8 +29,13 @@ from .families import (
     prime_family,
     toggle_permutation,
 )
-from .fibindex import fib, rank, unrank
-from .graphs import _path_sets_in_rank_order, _toggle_path_members, format_set_text
+from .fibindex import fib, rank, unrank, unrank_masks
+from .graphs import (
+    _path_sets_in_rank_order,
+    _toggle_path_members,
+    format_set_text,
+    toggle_path_masks,
+)
 from .perms import Permutation, format_cycles
 
 __all__ = [
@@ -115,8 +122,11 @@ def verify_intertwining(
 ) -> VerificationReport:
     """rank(toggle_k(I)) == member_k(rank(I)) for every k and every I.
 
-    Exhaustive over all f(n+2) independent sets and all n toggles, then a
-    follow-up equality of the induced permutations themselves.
+    Exhaustive over all f(n+2) independent sets and all n toggles: for each
+    k the toggle-induced permutation is compared image by image with the
+    member, and the first disagreement in k-then-rank order is the
+    counterexample.  A member that agrees on every rank but still differs
+    (it has another degree) fails as a whole permutation.
     """
     claim = "intertwining"
     if n < 1:
@@ -124,34 +134,34 @@ def verify_intertwining(
     if members is None:
         members = family(n).members
     count = fib(n + 2)
-    sets = _path_sets_in_rank_order(n)
     for k in range(1, n + 1):
         t = members[k - 1]
-        for idx in range(1, count + 1):
-            toggled = _toggle_path_members(k, sets[idx - 1])
-            expected = rank(n, toggled)
-            got = t.apply(idx)
-            if expected != got:
-                return _failed(
-                    claim,
-                    n,
-                    f"toggle at k={k} disagrees with the family member",
-                    {
-                        "k": k,
-                        "set": format_set_text(sets[idx - 1]),
-                        "index": idx,
-                        "expected": expected,
-                        "got": got,
-                    },
-                )
         induced = toggle_permutation(n, k)
-        if induced != t:
+        if induced == t:
+            continue
+        got = np.array(t.images[:count])
+        expected = np.array(induced.images[: len(got)])
+        mismatches = np.flatnonzero(expected != got)
+        if mismatches.size:
+            i = int(mismatches[0])
             return _failed(
                 claim,
                 n,
-                f"induced permutation differs from the family member at k={k}",
-                {"k": k, "induced": format_cycles(induced), "member": format_cycles(t)},
+                f"toggle at k={k} disagrees with the family member",
+                {
+                    "k": k,
+                    "set": format_set_text(unrank(n, i + 1)),
+                    "index": i + 1,
+                    "expected": int(expected[i]),
+                    "got": int(got[i]),
+                },
             )
+        return _failed(
+            claim,
+            n,
+            f"induced permutation differs from the family member at k={k}",
+            {"k": k, "induced": format_cycles(induced), "member": format_cycles(t)},
+        )
     return _passed(
         claim, n,
         f"checked {n * count} toggle/rank pairs; induced permutations equal the members",
@@ -191,10 +201,15 @@ def verify_diagonal_generation(
     The claim holds only at n = 3.  From n = 4 on the members with
     k < n-2 move the middle block {f(n)+1..f(n+1)}, the generated group is
     diag(S_f(n)) x Sym(middle block) of order f(n)!*f(n-1)!, and the check
-    fails with the first strong generator that leaves the diagonal
-    subgroup.  The claim is tested three ways: every strong generator
-    satisfies the diagonal membership conditions, the order is exactly
-    f(n)!, and sampled diagonal elements all sift into the chain.
+    fails with the first input generator that leaves the diagonal
+    subgroup.  Unless the inputs generate the whole symmetric group, that
+    is also the first such strong generator of their chain, whose first
+    level starts from the non-identity inputs in input order, so the
+    report names the same element without building the chain.
+    The claim is tested three ways: every input generator satisfies the
+    diagonal membership conditions (so every element of the group does),
+    the order is exactly f(n)!, and sampled diagonal elements all sift
+    into the chain, which is only built once the inputs pass.
     """
     claim = "diagonal-generation"
     if n < 3:
@@ -203,13 +218,13 @@ def verify_diagonal_generation(
         generators = prime_family(n)
     degree = fib(n + 2)
     spec = DiagonalSubgroupSpec(n)
-    chain = build_chain(generators, degree)
-    for g in chain.strong_generators():
+    for g in generators:
         if not spec.contains(g):
             return _failed(
                 claim, n, "a strong generator leaves the diagonal subgroup",
                 {"generator": format_cycles(g)},
             )
+    chain = build_chain(generators, degree)
     expected = math.factorial(fib(n))
     got = chain.order()
     if got != expected:
@@ -263,27 +278,27 @@ def verify_coxeter_relations(
     claim = "coxeter-relations"
     if n < 1:
         raise ValueError("n must be at least 1")
+    # 0-based image tables, on which the table of p * q is p[q]
     if members is None:
-        members = [toggle_permutation(n, k) for k in range(1, n + 1)]
-    degree = fib(n + 2)
-    ident = Permutation.identity(degree)
+        tables = [np.array(toggle_permutation(n, k).images) - 1 for k in range(1, n + 1)]
+    else:
+        tables = [np.array(p.images) - 1 for p in members[:n]]
+    ident = np.arange(fib(n + 2))
     for k in range(1, n + 1):
-        p = members[k - 1]
-        if p * p != ident:
+        p = tables[k - 1]
+        if p.shape != ident.shape or (p[p] != ident).any():
             return _failed(claim, n, "a toggle is not an involution", {"k": k})
     for k in range(1, n + 1):
         for k2 in range(k + 2, n + 1):
-            a, b = members[k - 1], members[k2 - 1]
-            if a * b != b * a:
+            a, b = tables[k - 1], tables[k2 - 1]
+            if (a[b] != b[a]).any():
                 return _failed(
                     claim, n, "distant toggles do not commute", {"k": k, "k2": k2}
                 )
     for k in range(1, n):
-        ab = members[k - 1] * members[k]
-        power = ident
-        for _ in range(6):
-            power = ab * power
-        if power != ident:
+        ab = tables[k - 1][tables[k]]
+        cube = ab[ab[ab]]
+        if (cube[cube] != ident).any():
             return _failed(
                 claim, n, "(toggle_k toggle_k+1)^6 is not the identity", {"k": k}
             )
@@ -295,31 +310,31 @@ def verify_count_and_transitivity(n: int) -> VerificationReport:
     claim = "count-transitivity"
     if n < 1:
         raise ValueError("n must be at least 1")
-    sets = _path_sets_in_rank_order(n)
+    masks = unrank_masks(n)
     expected = fib(n + 2)
-    if len(sets) != expected:
+    if len(masks) != expected:
         return _failed(
             claim, n, "independent-set count is off",
-            {"count": len(sets), "expected": expected},
+            {"count": len(masks), "expected": expected},
         )
-    if len(set(sets)) != len(sets):
-        return _failed(claim, n, "enumeration repeats a set", {"count": len(sets)})
-    seen = {frozenset()}
-    queue = [frozenset()]
-    k = 0
-    while k < len(queue):
-        current = queue[k]
-        k += 1
-        for v in range(1, n + 1):
-            nxt = _toggle_path_members(v, current)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != expected:
-        missing = next(s for s in sets if s not in seen)
+    if np.unique(masks).size != len(masks):
+        return _failed(claim, n, "enumeration repeats a set", {"count": len(masks)})
+    # breadth-first search from the empty set over bitmasks, a whole
+    # frontier per step
+    reached = frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        step = np.concatenate([toggle_path_masks(v, frontier) for v in range(1, n + 1)])
+        frontier = np.setdiff1d(step, reached)
+        reached = np.union1d(reached, frontier)
+    if reached.size != expected:
+        missing = int(np.flatnonzero(~np.isin(masks, reached))[0]) + 1
         return _failed(
             claim, n, "toggles do not reach every independent set",
-            {"reached": len(seen), "expected": expected, "missing": format_set_text(missing)},
+            {
+                "reached": int(reached.size),
+                "expected": expected,
+                "missing": format_set_text(unrank(n, missing)),
+            },
         )
     return _passed(claim, n, f"{expected} sets, all reachable from the empty set")
 

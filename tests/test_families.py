@@ -20,7 +20,10 @@ from togglegroup import (
     rank,
     toggle_path,
     toggle_permutation,
+    unrank,
 )
+from togglegroup import families
+from togglegroup.graphs import _toggle_path_members
 
 
 class TestBlockSwap:
@@ -205,6 +208,26 @@ class TestTogglePermutation:
         for n in range(1, 21):
             for k in range(1, n + 1):
                 assert toggle_permutation(n, k) == generator(k, n)
+
+    def test_matches_scalar_route_up_to_14(self):
+        # one set at a time through unrank, the frozenset toggle and rank
+        for n in range(1, 15):
+            for k in range(1, n + 1):
+                scalar = [
+                    rank(n, _toggle_path_members(k, unrank(n, idx)))
+                    for idx in range(1, fib(n + 2) + 1)
+                ]
+                assert toggle_permutation(n, k).images == tuple(scalar)
+                moves = {image - idx for idx, image in enumerate(scalar, start=1)}
+                assert moves <= {0, fib(k + 1), -fib(k + 1)}
+
+    def test_independent_of_the_recursion(self, monkeypatch):
+        def refuse(k, n):
+            raise AssertionError("toggle_permutation called generator()")
+
+        monkeypatch.setattr(families, "generator", refuse)
+        assert format_cycles(toggle_permutation(4, 1)) == "(1,2)(4,5)(6,7)"
+        assert toggle_permutation(9, 5).degree == fib(11)
 
     def test_k_range(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from togglegroup import (
     FIB_CEILING,
@@ -8,9 +10,22 @@ from togglegroup import (
     drop_end_vertex,
     fib,
     rank,
+    rank_masks,
     shift_identity_holds,
     unrank,
+    unrank_masks,
 )
+from togglegroup.graphs import _toggle_path_members
+
+# the CLI's range for index/unindex/toggle
+MAX_CLI_N = 60
+
+
+@st.composite
+def ranked_sets(draw):
+    """A path size n and a rank in 1..f(n+2)."""
+    n = draw(st.integers(1, MAX_CLI_N))
+    return n, draw(st.integers(1, fib(n + 2)))
 
 
 def recursive_rank(n, members):
@@ -141,6 +156,48 @@ class TestUnrank:
         for n in range(1, 13):
             for s in all_independent_sets(n):
                 assert unrank(n, rank(n, s)) == s
+
+
+class TestZeckendorf:
+    @given(ranked_sets())
+    def test_unrank_inverts_rank(self, case):
+        n, idx = case
+        members = unrank(n, idx)
+        assert all(b - a > 1 for a, b in itertools.pairwise(sorted(members)))
+        assert rank(n, members) == idx
+
+    @given(ranked_sets(), st.integers(0, 20))
+    def test_rank_does_not_depend_on_n(self, case, extra):
+        n, idx = case
+        m = min(n + extra, MAX_CLI_N)
+        assert rank(m, unrank(n, idx)) == idx
+        assert unrank(m, idx) == unrank(n, idx)
+
+    @given(ranked_sets(), st.data())
+    def test_toggle_moves_rank_by_one_weight(self, case, data):
+        n, idx = case
+        k = data.draw(st.integers(1, n))
+        moved = rank(n, _toggle_path_members(k, unrank(n, idx))) - idx
+        assert moved in (0, fib(k + 1), -fib(k + 1))
+
+    def test_mask_table_ranks_in_order(self):
+        for n in range(1, 26):
+            masks = unrank_masks(n)
+            assert masks.dtype == np.int64
+            np.testing.assert_array_equal(rank_masks(masks), np.arange(1, fib(n + 2) + 1))
+
+    def test_mask_table_matches_unrank(self):
+        for n in range(1, 13):
+            masks = unrank_masks(n).tolist()
+            for idx in range(1, fib(n + 2) + 1):
+                members = unrank(n, idx)
+                assert masks[idx - 1] == sum(1 << (v - 1) for v in members)
+
+    def test_rank_masks_at_the_cli_range(self):
+        # the widest mask the CLI can name: the odd vertices up to 59
+        members = frozenset(range(1, MAX_CLI_N, 2))
+        mask = sum(1 << (v - 1) for v in members)
+        assert rank_masks(np.array([mask])).tolist() == [rank(MAX_CLI_N, members)]
 
 
 class TestDropEndVertex:

@@ -7,6 +7,7 @@ from togglegroup import (
     VerificationReport,
     all_claim_ids,
     family,
+    format_cycles,
     parse_cycles,
     verify_all,
     verify_count_and_transitivity,
@@ -56,7 +57,18 @@ class TestIntertwining:
     def test_injected_fault_fails_with_counterexample(self):
         report = verify_intertwining(3, members=perturbed_family_3())
         assert report.status == "fail"
-        assert report.counterexample["k"] == 2
+        assert report.text_line() == (
+            "   FAIL intertwining n=3: toggle at k=2 disagrees with the family member"
+            " [counterexample: expected=3, got=2, index=1, k=2, set={}]"
+        )
+
+    def test_member_of_another_degree_fails_whole(self):
+        members = list(family(3).members)
+        members[0] = members[0].extend(6)
+        report = verify_intertwining(3, members=members)
+        assert report.counterexample == {
+            "k": 1, "induced": "(1,2)(4,5)", "member": "(1,2)(4,5)"
+        }
 
 
 class TestSymmetricGeneration:
@@ -85,7 +97,33 @@ class TestDiagonalGeneration:
         # strictly larger than the diagonal subgroup
         report = verify_diagonal_generation(4)
         assert report.status == "fail"
-        assert report.counterexample == {"generator": "(1,2)(4,5)(6,7)"}
+        assert report.text_line() == (
+            "   FAIL diagonal-generation n=4: a strong generator leaves the diagonal"
+            " subgroup [counterexample: generator=(1,2)(4,5)(6,7)]"
+        )
+
+    def test_fails_on_the_inputs_without_a_chain(self, monkeypatch):
+        # the first strong generator of the chain that leaves the diagonal
+        # subgroup is the first input that does, generator(1, n)
+        from togglegroup import DiagonalSubgroupSpec, build_chain, fib, generator, prime_family
+        from togglegroup import verify
+
+        for n in range(4, 8):
+            spec = DiagonalSubgroupSpec(n)
+            chain = build_chain(list(prime_family(n)), fib(n + 2))
+            leaving = [g for g in chain.strong_generators() if not spec.contains(g)]
+            assert leaving[0] == generator(1, n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_chain called")
+
+        monkeypatch.setattr(verify, "build_chain", refuse)
+        for n in range(4, 11):
+            report = verify_diagonal_generation(n)
+            assert (report.status, report.details) == (
+                "fail", "a strong generator leaves the diagonal subgroup"
+            )
+            assert report.counterexample == {"generator": format_cycles(generator(1, n))}
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_fails_above_four(self, n):
@@ -148,6 +186,19 @@ class TestCountAndTransitivity:
         assert report.status == "pass"
         assert fib(n + 2) == count
         assert str(count) in report.details
+
+    def test_stuck_toggle_fails_with_the_first_unreached_set(self, monkeypatch):
+        from togglegroup import verify
+
+        toggle_path_masks = verify.toggle_path_masks
+        monkeypatch.setattr(
+            verify, "toggle_path_masks",
+            lambda k, masks: masks if k == 1 else toggle_path_masks(k, masks),
+        )
+        assert verify_count_and_transitivity(6).text_line() == (
+            "   FAIL count-transitivity n=6: toggles do not reach every independent"
+            " set [counterexample: expected=21, missing={1}, reached=13]"
+        )
 
 
 class TestGoldenCases:
