@@ -6,12 +6,19 @@ algorithm: distribute generators along the base, then sift Schreier
 generators level by level until every one reduces to the identity.  That
 termination condition is what certifies the chain, so ``order`` (the
 product of basic orbit sizes) and ``contains`` (membership by sifting) are
-exact.  No randomization: a fixed generator order rebuilds the identical
-chain.  Orders are plain Python ints, which are arbitrary precision.
+exact.  Orders are plain Python ints, which are arbitrary precision.
+
+Before that, a shortcut tries to certify the full symmetric group by
+counting: it sifts a product-replacement stream drawn from a fixed-seed
+generator, so it is random in form only, and a fixed generator order
+always rebuilds the identical chain.
 
 Internally image tables are numpy arrays (composition is fancy indexing,
 which is what the construction spends its time on); the public surface
-speaks :class:`~togglegroup.perms.Permutation` values only.
+speaks :class:`~togglegroup.perms.Permutation` values only.  Each
+transversal is stored once, as the inverses of its coset representatives:
+sifting only ever strips a representative, and a new representative's
+inverse is a product of stored inverses.
 """
 
 from __future__ import annotations
@@ -58,11 +65,10 @@ class StabilizerChain:
         self._ident = np.arange(degree, dtype=np.intp)
         self._ident_bytes = self._ident.tobytes()
         self._base: list[int] = []            # 0-based base points
-        self._base_arr = np.empty(0, dtype=np.intp)
         self._gens: list[list[np.ndarray]] = []   # strong generators per level
         self._invs: list[list[np.ndarray]] = []
-        self._trans: list[dict[int, np.ndarray]] = []  # orbit point -> representative
-        self._tbytes: list[dict[int, bytes]] = []      # same entries, for equality
+        # orbit point p -> inverse of the representative sending the base
+        # point to p, so the stored table sends p back to the base point
         self._tinv: list[dict[int, np.ndarray]] = []
         self._pts: list[list[int]] = []       # orbit in discovery order
         self._inorb: list[np.ndarray] = []    # orbit membership masks
@@ -130,9 +136,7 @@ class StabilizerChain:
 
     def _reset_levels(self) -> None:
         self._base = []
-        self._base_arr = np.empty(0, dtype=np.intp)
-        self._gens, self._invs = [], []
-        self._trans, self._tbytes, self._tinv = [], [], []
+        self._gens, self._invs, self._tinv = [], [], []
         self._pts, self._inorb, self._work = [], [], []
         self._scanned = []
 
@@ -196,11 +200,8 @@ class StabilizerChain:
 
     def _append_level(self, base_point: int) -> None:
         self._base.append(base_point)
-        self._base_arr = np.array(self._base, dtype=np.intp)
         self._gens.append([])
         self._invs.append([])
-        self._trans.append({base_point: self._ident})
-        self._tbytes.append({base_point: self._ident_bytes})
         self._tinv.append({base_point: self._ident})
         self._pts.append([base_point])
         mask = np.zeros(self.degree, dtype=bool)
@@ -221,9 +222,7 @@ class StabilizerChain:
             for p in self._pts[i]:
                 work.append(p * _STRIDE + gi)
 
-    def _adjoin_point(self, i: int, x: int, rep: np.ndarray, rep_inv: np.ndarray) -> None:
-        self._trans[i][x] = rep
-        self._tbytes[i][x] = rep.tobytes()
+    def _adjoin_point(self, i: int, x: int, rep_inv: np.ndarray) -> None:
         self._tinv[i][x] = rep_inv
         self._pts[i].append(x)
         self._inorb[i][x] = True
@@ -234,8 +233,10 @@ class StabilizerChain:
     def _extend_orbit(self, i: int) -> None:
         # close the basic orbit under the level's generators; existing
         # transversal entries are kept, new points appended in scan order.
-        # points scanned before only have to revisit generators added since
-        trans, tinv = self._trans[i], self._tinv[i]
+        # points scanned before only have to revisit generators added since.
+        # The representative at s(p) is s composed after the one at p, so
+        # its inverse is the inverse at p composed after s^-1
+        tinv = self._tinv[i]
         pts, inorb = self._pts[i], self._inorb[i]
         gens, invs = self._gens[i], self._invs[i]
         first_new = self._scanned[i]
@@ -250,7 +251,7 @@ class StabilizerChain:
                     p = chunk_pts[t]
                     x = int(s[p])
                     if not inorb[x]:
-                        self._adjoin_point(i, x, s[trans[p]], tinv[p][si])
+                        self._adjoin_point(i, x, tinv[p][si])
         k = old_count
         while k < len(pts):
             chunk_pts = pts[k:]
@@ -261,24 +262,26 @@ class StabilizerChain:
                     p = chunk_pts[t]
                     x = int(s[p])
                     if not inorb[x]:
-                        self._adjoin_point(i, x, s[trans[p]], tinv[p][si])
+                        self._adjoin_point(i, x, tinv[p][si])
 
     def _first_unwitnessed(self, i):
         # first pending Schreier generator of level i that does not sift to
         # the identity through the deeper levels, or None; a failing pair
-        # stays queued so it is re-checked after the deeper levels grow
+        # stays queued so it is re-checked after the deeper levels grow.
+        # With s the generator and u the representative at p, s*u sends the
+        # base point to x = s(p); it is witnessed when it is the stored
+        # representative at x, which is tested on the inverses
         work = self._work[i]
-        trans, tbytes, tinv = self._trans[i], self._tbytes[i], self._tinv[i]
-        gens = self._gens[i]
-        b = self._base[i]
+        tinv = self._tinv[i]
+        gens, invs = self._gens[i], self._invs[i]
         while work:
             p, gi = divmod(work[0], _STRIDE)
-            su = gens[gi][trans[p]]
-            x = int(su[b])  # the generator's image of p
-            if su.tobytes() == tbytes[x]:
+            x = int(gens[gi][p])
+            su_inv = tinv[p][invs[gi]]
+            if np.array_equal(su_inv, tinv[x]):
                 work.popleft()
                 continue
-            h = tinv[x][su]
+            h = tinv[x][_invert(su_inv)]
             residue, j = self._sift_raw(h, i + 1)
             if residue.tobytes() == self._ident_bytes:
                 work.popleft()
@@ -287,24 +290,19 @@ class StabilizerChain:
         return None
 
     def _sift_raw(self, g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
-        # strip transversal representatives; jumps straight to the next base
-        # point the running residue moves
-        base_arr = self._base_arr
-        n_levels = len(self._base)
-        level = start
-        while level < n_levels:
-            tail = base_arr[level:]
-            neq = g[tail] != tail
-            if not neq.any():
-                return g, n_levels
-            level += int(neq.argmax())
-            x = int(g[base_arr[level]])
-            iu = self._tinv[level].get(x)
+        # strip transversal representatives from level start on; returns the
+        # residue and the level where it left the orbit, or the base length
+        base, tinv = self._base, self._tinv
+        for level in range(start, len(base)):
+            b = base[level]
+            x = int(g[b])
+            if x == b:
+                continue
+            iu = tinv[level].get(x)
             if iu is None:
                 return g, level
             g = iu[g]
-            level += 1
-        return g, n_levels
+        return g, len(base)
 
     # -- queries -----------------------------------------------------------
 
@@ -359,16 +357,21 @@ class StabilizerChain:
     def contains_alternating(self) -> bool:
         """Whether every 3-cycle (i,i+1,i+2) is a member; these generate
         the alternating group on 1..degree."""
-        m = self.degree
-        if m < 3:
+        if self.degree < 3:
             raise ValueError("alternating-group check needs degree at least 3")
+        return self.first_missing_three_cycle() is None
+
+    def first_missing_three_cycle(self) -> Permutation | None:
+        """The first 3-cycle (i,i+1,i+2), by ascending i, that is not a
+        member, or None when the group holds them all."""
+        m = self.degree
         for i in range(m - 2):
             img = np.arange(m, dtype=np.intp)
             img[i], img[i + 1], img[i + 2] = i + 1, i + 2, i
             residue, _ = self._sift_raw(img, 0)
             if residue.tobytes() != self._ident_bytes:
-                return False
-        return True
+                return Permutation._from_raw(tuple(img.tolist()))
+        return None
 
     def validate(self) -> None:
         """Re-check the structural invariants; raises ValueError on damage."""
@@ -378,13 +381,13 @@ class StabilizerChain:
             for r in self._gens[i]:
                 if any(r[self._base[j]] != self._base[j] for j in range(i)):
                     raise ValueError(f"level {i} generator moves an earlier base point")
-            for p, u in self._trans[i].items():
-                if u[b] != p:
+            if set(self._tinv[i]) != set(self._pts[i]):
+                raise ValueError(f"transversal at level {i} does not cover its orbit")
+            for p, u in self._tinv[i].items():
+                if not np.array_equal(np.sort(u), self._ident):
+                    raise ValueError(f"transversal entry at level {i} is not a bijection")
+                if u[p] != b:
                     raise ValueError(f"transversal entry at level {i} misses its point")
-                if self._tbytes[i][p] != u.tobytes():
-                    raise ValueError(f"byte cache mismatch at level {i}")
-                if self._tinv[i][p][u].tobytes() != self._ident_bytes:
-                    raise ValueError(f"inverse transversal mismatch at level {i}")
 
     def __repr__(self) -> str:
         return (

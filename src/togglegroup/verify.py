@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import build_chain
+from .engine import StabilizerChain, build_chain
 from .families import (
     DiagonalSubgroupSpec,
     block_swap,
@@ -168,17 +168,35 @@ def verify_intertwining(
     )
 
 
+def _family_chain(
+    n: int,
+    generators: Optional[Sequence[Permutation]],
+    chain: Optional[StabilizerChain],
+) -> StabilizerChain:
+    # the chain a caller passes in must be the chain of these generators
+    if chain is not None:
+        return chain
+    if generators is None:
+        generators = family(n).members
+    return build_chain(generators, fib(n + 2))
+
+
 def verify_symmetric_generation(
-    n: int, generators: Optional[Sequence[Permutation]] = None
+    n: int,
+    generators: Optional[Sequence[Permutation]] = None,
+    *,
+    chain: Optional[StabilizerChain] = None,
 ) -> VerificationReport:
-    """The family at size n generates all of S_f(n+2)."""
+    """The family at size n generates all of S_f(n+2).
+
+    ``chain``, when given, is the already built stabilizer chain of the
+    generators (by default the family), and is used instead of a new one.
+    """
     claim = "symmetric-generation"
     if n < 1:
         raise ValueError("n must be at least 1")
-    if generators is None:
-        generators = family(n).members
     degree = fib(n + 2)
-    chain = build_chain(generators, degree)
+    chain = _family_chain(n, generators, chain)
     if chain.is_full_symmetric():
         return _passed(claim, n, f"group order is {degree}! = {chain.order()}")
     counter: dict = {"order": str(chain.order()), "expected": str(math.factorial(degree))}
@@ -250,23 +268,25 @@ def verify_diagonal_generation(
 
 
 def verify_three_cycles(
-    n: int, generators: Optional[Sequence[Permutation]] = None
+    n: int,
+    generators: Optional[Sequence[Permutation]] = None,
+    *,
+    chain: Optional[StabilizerChain] = None,
 ) -> VerificationReport:
-    """The generated group contains every consecutive 3-cycle (i,i+1,i+2)."""
+    """The generated group contains every consecutive 3-cycle (i,i+1,i+2).
+
+    ``chain`` is as for :func:`verify_symmetric_generation`.
+    """
     claim = "three-cycles"
     if n < 4:
         raise ValueError("n must be at least 4")
-    if generators is None:
-        generators = family(n).members
     degree = fib(n + 2)
-    chain = build_chain(generators, degree)
-    for i in range(1, degree - 1):
-        cycle = Permutation.from_cycles([(i, i + 1, i + 2)], degree)
-        if not chain.contains(cycle):
-            return _failed(
-                claim, n, "a consecutive 3-cycle is missing",
-                {"cycle": format_cycles(cycle)},
-            )
+    missing = _family_chain(n, generators, chain).first_missing_three_cycle()
+    if missing is not None:
+        return _failed(
+            claim, n, "a consecutive 3-cycle is missing",
+            {"cycle": format_cycles(missing)},
+        )
     return _passed(claim, n, f"all {degree - 2} consecutive 3-cycles are members")
 
 
@@ -495,9 +515,15 @@ def verify_all(
                 verify_count_and_transitivity(n) if degree <= enum_cap
                 else _skipped("count-transitivity", n, enum_note)
             )
+        # symmetric-generation and three-cycles read the same family chain
+        chain = None
+        if degree <= chain_cap and (
+            wanted("symmetric-generation") or (n >= 4 and wanted("three-cycles"))
+        ):
+            chain = build_chain(family(n).members, degree)
         if wanted("symmetric-generation"):
             reports.append(
-                verify_symmetric_generation(n) if degree <= chain_cap
+                verify_symmetric_generation(n, chain=chain) if degree <= chain_cap
                 else _skipped("symmetric-generation", n, chain_note)
             )
         if n >= 3 and wanted("diagonal-generation"):
@@ -507,7 +533,7 @@ def verify_all(
             )
         if n >= 4 and wanted("three-cycles"):
             reports.append(
-                verify_three_cycles(n) if degree <= chain_cap
+                verify_three_cycles(n, chain=chain) if degree <= chain_cap
                 else _skipped("three-cycles", n, chain_note)
             )
     reports.sort(key=lambda r: (r.claim_id, r.n if r.n is not None else 0))

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import togglegroup
 from togglegroup.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -200,3 +207,37 @@ class TestUsageAndDeterminism:
         code, _, _ = run(capsys, "verify", "--max-n", "4", "--profile", "quick")
         assert time.perf_counter() - start < 5.0
         assert code in (EXIT_OK, EXIT_VERIFY_FAIL)
+
+
+def fresh_process(*argv):
+    """The same command line in a new interpreter."""
+    src = str(Path(togglegroup.__file__).resolve().parent.parent)
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "togglegroup.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    """main parses with one parser per process; a call must not see what an
+    earlier call in the same process did."""
+
+    def test_usage_error_then_valid_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        bad = ("order", "--n", "x")
+        good = ("index", "--n", "4", "--set", "{1,4}")
+        in_process = [run(capsys, *bad), run(capsys, *good)]
+        assert in_process[0][0] == EXIT_USAGE
+        assert in_process[1] == (EXIT_OK, "7\n", "")
+        assert in_process == [fresh_process(*bad), fresh_process(*good)]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("order", "--help")])
+    def test_help_is_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        first = run(capsys, *argv)
+        assert first[0] == EXIT_OK and first[1]
+        assert run(capsys, *argv) == first
+        assert fresh_process(*argv) == first

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -8,6 +9,8 @@ from togglegroup import (
     DegreeMismatchError,
     Permutation,
     build_chain,
+    fib,
+    format_cycles,
     orbit,
     parse_cycles,
 )
@@ -183,6 +186,12 @@ class TestContainsAlternating:
         with pytest.raises(ValueError):
             build_chain(gens("(1,2)", degree=2), 2).contains_alternating()
 
+    def test_first_missing_three_cycle(self):
+        chain = build_chain(gens("(1,2,3)", degree=6), 6)
+        assert format_cycles(chain.first_missing_three_cycle()) == "(2,3,4)"
+        assert not chain.contains_alternating()
+        assert build_chain(list(family(4).members), 8).first_missing_three_cycle() is None
+
 
 class TestLargeFamilies:
     def test_family_8_is_full_symmetric_on_55(self):
@@ -196,3 +205,49 @@ class TestLargeFamilies:
         chain.validate()
         # diagonal action on the end blocks times full action on the middle
         assert chain.order() == math.factorial(21) * math.factorial(13)
+
+    def test_validate_catches_a_corrupt_transversal(self):
+        chain = build_chain(list(family(5).members), 13)
+        chain.validate()
+        level, table = 1, chain._tinv[1]
+        p = next(q for q in table if q != chain._base[level])
+        good = table[p]
+        # a table that is no bijection
+        table[p] = good.copy()
+        table[p][table[p] == chain._base[level]] = p
+        with pytest.raises(ValueError, match="not a bijection"):
+            chain.validate()
+        # a bijection that does not send p back to the base point
+        swapped = good.copy()
+        q = next(q for q in range(13) if q != p)
+        swapped[[p, q]] = swapped[[q, p]]
+        table[p] = swapped
+        with pytest.raises(ValueError, match="misses its point"):
+            chain.validate()
+        table[p] = good
+        chain.validate()
+
+
+def _chain_digest(generator_sets):
+    h = hashlib.sha256()
+    for generators, degree in generator_sets:
+        chain = build_chain(list(generators), degree)
+        strong = tuple(g.images for g in chain.strong_generators())
+        h.update(repr((chain.base, chain.basic_orbits(), strong)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedChains:
+    """A chain is a deterministic function of the generator order.  These
+    SHA-256 digests of (base, basic orbits in discovery order, strong
+    generator images) pin the chains of the family and the reduced family
+    for n <= 10, so a change to how the engine builds or stores a chain
+    shows here unless it rebuilds the very same chains."""
+
+    def test_family_chains(self):
+        digest = _chain_digest((family(n).members, fib(n + 2)) for n in range(1, 11))
+        assert digest == "e42cea74299f90a1ece8ace3babf817d623bd370673455b6be56e1c07c54d872"
+
+    def test_reduced_family_chains(self):
+        digest = _chain_digest((prime_family(n), fib(n + 2)) for n in range(3, 11))
+        assert digest == "0cc4c71ca9c37b7a7c7f0e68cbe58844a4263e93fc49420ade811b58b1c73d4b"

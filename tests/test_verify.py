@@ -159,6 +159,10 @@ class TestThreeCycles:
         report = verify_three_cycles(4, generators=[parse_cycles("(1,2)", 8)])
         assert report.status == "fail"
         assert report.counterexample == {"cycle": "(1,2,3)"}
+        assert report.text_line() == (
+            "   FAIL three-cycles n=4: a consecutive 3-cycle is missing"
+            " [counterexample: cycle=(1,2,3)]"
+        )
 
     def test_needs_n_four(self):
         with pytest.raises(ValueError):
@@ -250,6 +254,24 @@ class TestVerifyAll:
         assert [(r.claim_id, r.n, r.status, r.details) for r in first] == [
             (r.claim_id, r.n, r.status, r.details) for r in second
         ]
+
+    def test_family_chain_is_built_once_per_n(self, monkeypatch):
+        from togglegroup import fib, verify
+
+        claims = ["symmetric-generation", "three-cycles"]
+        expected = [verify_symmetric_generation(n) for n in range(1, 10)]
+        expected += [verify_three_cycles(n) for n in range(4, 10)]
+        degrees = []
+        real_build = verify.build_chain
+
+        def counting_build(generators, degree):
+            degrees.append(degree)
+            return real_build(generators, degree)
+
+        monkeypatch.setattr(verify, "build_chain", counting_build)
+        reports = verify_all(9, "full", claims)
+        assert degrees == [fib(n + 2) for n in range(1, 10)]
+        assert reports == sorted(expected, key=lambda r: (r.claim_id, r.n))
 
     def test_engineered_failure_is_caught(self):
         # at least one verifier must flip on an injected fault
