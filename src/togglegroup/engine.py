@@ -19,6 +19,14 @@ speaks :class:`~togglegroup.perms.Permutation` values only.  Each
 transversal is stored once, as the inverses of its coset representatives:
 sifting only ever strips a representative, and a new representative's
 inverse is a product of stored inverses.
+
+The loops around the compositions read single points (``ndarray.item``)
+and test orbit membership on the transversal's keys.  A sift looks at one
+base image per level, and the deep Schreier trees of these groups add a
+point or two per round of orbit closure: too little work per step to pay
+for a numpy call, which costs microseconds where a scalar read costs
+about a hundred nanoseconds.  Whole tables are compared as bytes for the
+same reason.
 """
 
 from __future__ import annotations
@@ -116,10 +124,12 @@ class StabilizerChain:
         # the transversal products already realize order() many distinct
         # group elements, so hitting degree! certifies the chain outright
         # (the basic orbits are then as large as they can possibly be and
-        # every Schreier generator is caught); skip the remaining sifting
+        # every Schreier generator is caught); skip the remaining sifting.
+        # Only a residue grows the orbits, so the order is recounted then
         full_order = math.factorial(self.degree)
+        order = self.order()
         i = len(self._base) - 1
-        while i >= 0 and self.order() != full_order:
+        while i >= 0 and order != full_order:
             found = self._first_unwitnessed(i)
             if found is None:
                 i -= 1
@@ -131,6 +141,7 @@ class StabilizerChain:
             for level in range(i + 1, j + 1):
                 self._add_generator(level, residue, rinv)
                 self._extend_orbit(level)
+            order = self.order()
             i = j
         self._work = []  # construction is done; queues are spent
 
@@ -182,9 +193,12 @@ class StabilizerChain:
             return w
         for _ in range(64):  # burn-in mixes the slots
             stir()
+        # a residue that sticks at level j grows that level's orbit and no
+        # other, so the order is kept up to date from that one orbit size
+        order = self.order()
         stall = 0
         while stall < _BOOST_STALL_LIMIT:
-            if self.order() == target:
+            if order == target:
                 return True
             residue, j = self._sift_raw(stir(), 0)
             if residue.tobytes() == self._ident_bytes:
@@ -192,8 +206,10 @@ class StabilizerChain:
                 continue
             if j == len(self._base):
                 self._append_level(int(np.nonzero(residue != self._ident)[0][0]))
+            before = len(self._pts[j])
             self._add_generator(j, residue, _invert(residue))
             self._extend_orbit(j)
+            order = order // before * len(self._pts[j])
             slots.append(residue)
             stall = 0
         return False
@@ -228,12 +244,16 @@ class StabilizerChain:
         self._inorb[i][x] = True
         if self._collect_pairs:
             base = x * _STRIDE
-            self._work[i].extend(base + gi for gi in range(len(self._gens[i])))
+            self._work[i].extend(range(base, base + len(self._gens[i])))
 
     def _extend_orbit(self, i: int) -> None:
         # close the basic orbit under the level's generators; existing
         # transversal entries are kept, new points appended in scan order.
-        # points scanned before only have to revisit generators added since.
+        # Points scanned before only have to revisit generators added since,
+        # one vectorized pass per generator.  The points found after that
+        # are closed over in rounds, generator by generator, with scalar
+        # reads: Schreier trees are deep, so a round mostly holds a point or
+        # two, too few to pay for the numpy calls of a vectorized pass.
         # The representative at s(p) is s composed after the one at p, so
         # its inverse is the inverse at p composed after s^-1
         tinv = self._tinv[i]
@@ -241,27 +261,23 @@ class StabilizerChain:
         gens, invs = self._gens[i], self._invs[i]
         first_new = self._scanned[i]
         self._scanned[i] = len(gens)
-        old_count = len(pts)
+        k = len(pts)
         if first_new < len(gens):
-            chunk_pts = pts[:old_count]
-            chunk = np.array(chunk_pts, dtype=np.intp)
+            chunk = np.array(pts, dtype=np.intp)
             for gi in range(first_new, len(gens)):
                 s, si = gens[gi], invs[gi]
                 for t in np.nonzero(~inorb[s[chunk]])[0].tolist():
-                    p = chunk_pts[t]
-                    x = int(s[p])
-                    if not inorb[x]:
+                    p = pts[t]
+                    x = s.item(p)
+                    if x not in tinv:
                         self._adjoin_point(i, x, tinv[p][si])
-        k = old_count
         while k < len(pts):
             chunk_pts = pts[k:]
-            chunk = np.array(chunk_pts, dtype=np.intp)
             k = len(pts)
             for s, si in zip(gens, invs):
-                for t in np.nonzero(~inorb[s[chunk]])[0].tolist():
-                    p = chunk_pts[t]
-                    x = int(s[p])
-                    if not inorb[x]:
+                for p in chunk_pts:
+                    x = s.item(p)
+                    if x not in tinv:
                         self._adjoin_point(i, x, tinv[p][si])
 
     def _first_unwitnessed(self, i):
@@ -270,18 +286,22 @@ class StabilizerChain:
         # stays queued so it is re-checked after the deeper levels grow.
         # With s the generator and u the representative at p, s*u sends the
         # base point to x = s(p); it is witnessed when it is the stored
-        # representative at x, which is tested on the inverses
+        # representative at x, which is tested on the inverses.  Otherwise
+        # the Schreier generator u_x^-1 * s * u is the table at x composed
+        # after s*u, the inverse of su_inv, which one scatter forms without
+        # inverting
         work = self._work[i]
         tinv = self._tinv[i]
         gens, invs = self._gens[i], self._invs[i]
         while work:
             p, gi = divmod(work[0], _STRIDE)
-            x = int(gens[gi][p])
+            tx = tinv[gens[gi].item(p)]
             su_inv = tinv[p][invs[gi]]
-            if np.array_equal(su_inv, tinv[x]):
+            if su_inv.tobytes() == tx.tobytes():
                 work.popleft()
                 continue
-            h = tinv[x][_invert(su_inv)]
+            h = np.empty_like(tx)
+            h[su_inv] = tx
             residue, j = self._sift_raw(h, i + 1)
             if residue.tobytes() == self._ident_bytes:
                 work.popleft()
@@ -295,7 +315,7 @@ class StabilizerChain:
         base, tinv = self._base, self._tinv
         for level in range(start, len(base)):
             b = base[level]
-            x = int(g[b])
+            x = g.item(b)
             if x == b:
                 continue
             iu = tinv[level].get(x)

@@ -39,7 +39,8 @@ class GeneratorFamily:
 
 
 # memo for generator(k, n); entries are immutable Permutations, so reads
-# may be shared freely -- precompute via family(n) before going concurrent
+# may be shared freely.  Threads that miss the same key at once each compute
+# it and store equal values, so a race only recomputes an identical value
 _memo: dict[tuple[int, int], Permutation] = {}
 
 

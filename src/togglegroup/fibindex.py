@@ -39,7 +39,16 @@ __all__ = [
 # ceiling get a clear error instead of a runaway computation.
 FIB_CEILING = 64
 
-_table = [0, 1]
+
+def _fib_table(size: int) -> tuple[int, ...]:
+    table = [0, 1]
+    while len(table) < size:
+        table.append(table[-1] + table[-2])
+    return tuple(table)
+
+
+# built whole at import and never mutated, so concurrent callers need no lock
+_table = _fib_table(FIB_CEILING + 1)
 
 
 class FibCeilingError(ValueError):
@@ -52,8 +61,6 @@ def fib(n: int) -> int:
         raise ValueError("Fibonacci index must be non-negative")
     if n > FIB_CEILING:
         raise FibCeilingError(f"Fibonacci index {n} exceeds ceiling {FIB_CEILING}")
-    while len(_table) <= n:
-        _table.append(_table[-1] + _table[-2])
     return _table[n]
 
 

@@ -50,7 +50,7 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         if sorted(images) != list(range(1, m + 1)):
             raise ValueError(f"images are not a bijection of 1..{m}")
-        self._img = tuple(x - 1 for x in images)
+        self._img = tuple([x - 1 for x in images])
 
     @classmethod
     def _from_raw(cls, img: tuple[int, ...]) -> "Permutation":

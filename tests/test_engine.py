@@ -240,9 +240,9 @@ def _chain_digest(generator_sets):
 class TestPinnedChains:
     """A chain is a deterministic function of the generator order.  These
     SHA-256 digests of (base, basic orbits in discovery order, strong
-    generator images) pin the chains of the family and the reduced family
-    for n <= 10, so a change to how the engine builds or stores a chain
-    shows here unless it rebuilds the very same chains."""
+    generator images) pin the chains of the family for n <= 12 and of the
+    reduced family for n <= 10, so a change to how the engine builds or
+    stores a chain shows here unless it rebuilds the very same chains."""
 
     def test_family_chains(self):
         digest = _chain_digest((family(n).members, fib(n + 2)) for n in range(1, 11))
@@ -251,3 +251,8 @@ class TestPinnedChains:
     def test_reduced_family_chains(self):
         digest = _chain_digest((prime_family(n), fib(n + 2)) for n in range(3, 11))
         assert digest == "0cc4c71ca9c37b7a7c7f0e68cbe58844a4263e93fc49420ade811b58b1c73d4b"
+
+    def test_large_family_chains(self):
+        # degrees 233 and 377, the largest full-symmetric chains
+        digest = _chain_digest((family(n).members, fib(n + 2)) for n in (11, 12))
+        assert digest == "06b210c34a16310e18c14db53e8529a7e4c59396af6048b21f7f96a56e0ab45e"

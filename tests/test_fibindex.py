@@ -68,6 +68,16 @@ class TestFib:
         with pytest.raises(FibCeilingError):
             fib(FIB_CEILING + 1)
 
+    def test_table_follows_the_recurrence_up_to_the_ceiling(self):
+        expected = [0, 1]
+        while len(expected) <= FIB_CEILING:
+            expected.append(expected[-1] + expected[-2])
+        assert [fib(i) for i in range(FIB_CEILING + 1)] == expected
+        with pytest.raises(FibCeilingError, match=r"^Fibonacci index 65 exceeds ceiling 64$"):
+            fib(65)
+        with pytest.raises(ValueError, match=r"^Fibonacci index must be non-negative$"):
+            fib(-1)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fib(-1)

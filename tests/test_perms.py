@@ -15,6 +15,18 @@ def perm(text, degree):
     return parse_cycles(text, degree)
 
 
+@st.composite
+def near_permutations(draw):
+    """An image table of 1..m, possibly with one entry replaced by 0, m + 1
+    or a duplicate; m = 0 gives the empty table."""
+    m = draw(st.integers(0, 12))
+    images = draw(st.permutations(range(1, m + 1)))
+    if m and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        images[i] = draw(st.sampled_from([0, m + 1, images[(i + 1) % m]]))
+    return images
+
+
 class TestConstruction:
     def test_identity(self):
         assert Permutation.identity(3).images == (1, 2, 3)
@@ -32,6 +44,18 @@ class TestConstruction:
             Permutation([0, 1])
         with pytest.raises(ValueError):
             Permutation([])
+
+    @given(st.one_of(near_permutations(), st.lists(st.integers(-1, 13), max_size=12)))
+    def test_validation_matches_the_sorted_rule(self, images):
+        m = len(images)
+        if m and sorted(images) == list(range(1, m + 1)):
+            assert Permutation(images).images == tuple(images)
+            assert Permutation(tuple(images)).images == tuple(images)
+            return
+        message = "degree must be at least 1" if m == 0 else f"images are not a bijection of 1..{m}"
+        with pytest.raises(ValueError) as raised:
+            Permutation(images)
+        assert str(raised.value) == message
 
     def test_from_cycles_rejects_overlap(self):
         with pytest.raises(ValueError):
