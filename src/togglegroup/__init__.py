@@ -22,11 +22,9 @@ from .families import (
 from .fibindex import (
     FIB_CEILING,
     FibCeilingError,
-    drop_end_vertex,
     fib,
     rank,
     rank_masks,
-    shift_identity_holds,
     unrank,
     unrank_masks,
 )
@@ -41,13 +39,11 @@ from .graphs import (
     parse_graph_text,
     parse_set_text,
     path_graph,
-    reduce_to_empty,
     toggle,
     toggle_path,
     toggle_path_masks,
 )
 from .perms import (
-    CycleForm,
     CycleParseError,
     DegreeMismatchError,
     Permutation,
@@ -70,7 +66,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycleForm",
     "CycleParseError",
     "DegreeMismatchError",
     "DiagonalSubgroupSpec",
@@ -87,7 +82,6 @@ __all__ = [
     "block_swap",
     "build_chain",
     "diagonal_embed",
-    "drop_end_vertex",
     "enumerate_independent_sets",
     "family",
     "fib",
@@ -104,8 +98,6 @@ __all__ = [
     "prime_family",
     "rank",
     "rank_masks",
-    "reduce_to_empty",
-    "shift_identity_holds",
     "toggle",
     "toggle_path",
     "toggle_path_masks",

@@ -72,16 +72,7 @@ class StabilizerChain:
         self.degree = degree
         self._ident = np.arange(degree, dtype=np.intp)
         self._ident_bytes = self._ident.tobytes()
-        self._base: list[int] = []            # 0-based base points
-        self._gens: list[list[np.ndarray]] = []   # strong generators per level
-        self._invs: list[list[np.ndarray]] = []
-        # orbit point p -> inverse of the representative sending the base
-        # point to p, so the stored table sends p back to the base point
-        self._tinv: list[dict[int, np.ndarray]] = []
-        self._pts: list[list[int]] = []       # orbit in discovery order
-        self._inorb: list[np.ndarray] = []    # orbit membership masks
-        self._work: list[deque[int]] = []     # pending Schreier pairs per level
-        self._scanned: list[int] = []         # generators already closed over, per level
+        self._reset_levels()
         self._collect_pairs = False           # queue Schreier pairs (verified build only)
         self._build(generators)
 
@@ -105,21 +96,7 @@ class StabilizerChain:
             return
         self._reset_levels()
         self._collect_pairs = True
-
-        # choose base points so that every generator moves one
-        for r in raws:
-            if all(r[b] == b for b in self._base):
-                self._append_level(int(np.nonzero(r != self._ident)[0][0]))
-        # distribute: level i holds the generators fixing the first i base points
-        for r in raws:
-            inv = _invert(r)
-            d = 0
-            while d < len(self._base) and r[self._base[d]] == self._base[d]:
-                d += 1
-            for i in range(d + 1):
-                self._add_generator(i, r, inv)
-        for i in range(len(self._base)):
-            self._extend_orbit(i)
+        self._seed(raws)
 
         # the transversal products already realize order() many distinct
         # group elements, so hitting degree! certifies the chain outright
@@ -146,10 +123,33 @@ class StabilizerChain:
         self._work = []  # construction is done; queues are spent
 
     def _reset_levels(self) -> None:
-        self._base = []
-        self._gens, self._invs, self._tinv = [], [], []
-        self._pts, self._inorb, self._work = [], [], []
-        self._scanned = []
+        self._base: list[int] = []            # 0-based base points
+        self._gens: list[list[np.ndarray]] = []   # strong generators per level
+        self._invs: list[list[np.ndarray]] = []
+        # orbit point p -> inverse of the representative sending the base
+        # point to p, so the stored table sends p back to the base point
+        self._tinv: list[dict[int, np.ndarray]] = []
+        self._pts: list[list[int]] = []       # orbit in discovery order
+        self._inorb: list[np.ndarray] = []    # orbit membership masks
+        self._work: list[deque[int]] = []     # pending Schreier pairs per level
+        self._scanned: list[int] = []         # generators already closed over, per level
+
+    def _seed(self, raws: list[np.ndarray]) -> None:
+        # the start of both builds, the boost and the verified one: choose
+        # base points so that every generator moves one
+        for r in raws:
+            if all(r[b] == b for b in self._base):
+                self._append_level(int(np.nonzero(r != self._ident)[0][0]))
+        # distribute: level i holds the generators fixing the first i base points
+        for r in raws:
+            inv = _invert(r)
+            d = 0
+            while d < len(self._base) and r[self._base[d]] == self._base[d]:
+                d += 1
+            for i in range(d + 1):
+                self._add_generator(i, r, inv)
+        for i in range(len(self._base)):
+            self._extend_orbit(i)
 
     def _boost_full_symmetric(self, raws: list[np.ndarray]) -> bool:
         """Try to certify the group as all of S_degree by counting alone.
@@ -164,19 +164,7 @@ class StabilizerChain:
         as it must for any proper subgroup.
         """
         target = math.factorial(self.degree)
-        # initial distribution, as in the verified build
-        for r in raws:
-            if all(r[b] == b for b in self._base):
-                self._append_level(int(np.nonzero(r != self._ident)[0][0]))
-        for r in raws:
-            inv = _invert(r)
-            d = 0
-            while d < len(self._base) and r[self._base[d]] == self._base[d]:
-                d += 1
-            for i in range(d + 1):
-                self._add_generator(i, r, inv)
-        for i in range(len(self._base)):
-            self._extend_orbit(i)
+        self._seed(raws)
 
         rng = random.Random(0x5EED)  # fixed seed: runs are reproducible
         slots = list(raws) + [self._ident] * max(0, 8 - len(raws))

@@ -26,11 +26,9 @@ import numpy as np
 __all__ = [
     "FIB_CEILING",
     "FibCeilingError",
-    "drop_end_vertex",
     "fib",
     "rank",
     "rank_masks",
-    "shift_identity_holds",
     "unrank",
     "unrank_masks",
 ]
@@ -64,21 +62,17 @@ def fib(n: int) -> int:
     return _table[n]
 
 
-def _checked_members(n: int, members: Iterable[int]) -> frozenset[int]:
+def rank(n: int, members: Iterable[int]) -> int:
+    """The index in 1..f(n+2) of an independent set of the path on 1..n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     s = frozenset(members)
     for v in s:
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} out of range for path on 1..{n}")
         if v + 1 in s:
             raise ValueError(f"set is not independent: {v} and {v + 1} are adjacent")
-    return s
-
-
-def rank(n: int, members: Iterable[int]) -> int:
-    """The index in 1..f(n+2) of an independent set of the path on 1..n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return 1 + sum(fib(v + 1) for v in _checked_members(n, members))
+    return 1 + sum(fib(v + 1) for v in s)
 
 
 def unrank(n: int, idx: int) -> frozenset[int]:
@@ -122,27 +116,3 @@ def rank_masks(masks: np.ndarray) -> np.ndarray:
     for v in range(1, int(masks.max(initial=0)).bit_length() + 1):
         ranks += ((masks >> (v - 1)) & 1) * fib(v + 1)
     return ranks
-
-
-def drop_end_vertex(n: int, members: Iterable[int]) -> frozenset[int]:
-    """Remove vertex n from an independent set containing it.
-
-    The result is an independent set of the path on 1..n-2 (vertex n-1
-    cannot be present alongside n).
-    """
-    s = _checked_members(n, members)
-    if n not in s:
-        raise ValueError(f"vertex {n} is not in the set")
-    return s - {n}
-
-
-def shift_identity_holds(n: int) -> bool:
-    """Check rank(n, I + {n}) == rank(n, I) + f(n+1) over all I on 1..n-2."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    shift = fib(n + 1)
-    for j in range(1, fib(n) + 1):
-        inner = unrank(n - 2, j)
-        if rank(n, inner | {n}) != rank(n, inner) + shift:
-            return False
-    return True

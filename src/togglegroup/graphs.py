@@ -25,7 +25,6 @@ __all__ = [
     "parse_graph_text",
     "parse_set_text",
     "path_graph",
-    "reduce_to_empty",
     "toggle",
     "toggle_path",
     "toggle_path_masks",
@@ -226,14 +225,6 @@ def toggle_path(n: int, k: int, independent: IndependentSet) -> IndependentSet:
     if not on_path:
         raise ValueError(f"independent set does not live on the path on 1..{n}")
     return IndependentSet._trusted(g, _toggle_path_members(k, independent.members))
-
-
-def reduce_to_empty(g: Graph, independent: IndependentSet) -> list[int]:
-    """The members in ascending order; toggling them in this order empties
-    the set (each step is a removal)."""
-    if independent.graph != g:
-        raise ValueError("independent set belongs to a different graph")
-    return sorted(independent.members)
 
 
 def format_set_text(members: Iterable[int]) -> str:

@@ -8,11 +8,10 @@ group is the explicit :meth:`Permutation.extend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 __all__ = [
-    "CycleForm",
     "CycleParseError",
     "DegreeMismatchError",
     "Permutation",
@@ -50,7 +49,16 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         if sorted(images) != list(range(1, m + 1)):
             raise ValueError(f"images are not a bijection of 1..{m}")
-        self._img = tuple([x - 1 for x in images])
+        img = tuple([x - 1 for x in images])
+        # a float equal to an integer passes the check above and breaks every
+        # later lookup.  A sum of ints is an int, and one float (or Fraction,
+        # or numpy number) among them makes it another type
+        if type(sum(img)) is not int:
+            try:
+                img = tuple([index(x) for x in img])  # numpy integers convert
+            except TypeError:
+                raise ValueError("images must be integers") from None
+        self._img = img
 
     @classmethod
     def _from_raw(cls, img: tuple[int, ...]) -> "Permutation":
@@ -156,15 +164,30 @@ class Permutation:
             return self
         return Permutation._from_raw(self._img + tuple(range(m, degree)))
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self._img))
-
     def support(self) -> frozenset[int]:
         """The 1-based points moved by this permutation."""
         return frozenset(i + 1 for i, j in enumerate(self._img) if i != j)
 
-    def cycle_form(self) -> "CycleForm":
-        return CycleForm(degree=len(self._img), cycles=_canonical_cycles(self._img))
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical cycle decomposition: the cycles of length >= 2,
+        1-based, each beginning at its smallest point, sorted by first point."""
+        img = self._img
+        seen = bytearray(len(img))
+        out = []
+        for s in range(len(img)):
+            if seen[s] or img[s] == s:
+                continue
+            cycle = [s + 1]
+            seen[s] = 1
+            j = img[s]
+            while j != s:
+                seen[j] = 1
+                cycle.append(j + 1)
+                j = img[j]
+            out.append(tuple(cycle))
+        # scanning from the smallest unseen point makes each cycle start at
+        # its minimum and orders cycles by first element already
+        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -181,72 +204,12 @@ class Permutation:
         return f"<Permutation {self} deg={len(self._img)}>"
 
 
-def _canonical_cycles(img: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Nontrivial cycles, 1-based, each starting at its minimum, sorted."""
-    m = len(img)
-    seen = bytearray(m)
-    out = []
-    for s in range(m):
-        if seen[s] or img[s] == s:
-            seen[s] = 1
-            continue
-        cycle = [s + 1]
-        seen[s] = 1
-        j = img[s]
-        while j != s:
-            seen[j] = 1
-            cycle.append(j + 1)
-            j = img[j]
-        out.append(tuple(cycle))
-    # scanning from the smallest unseen point makes each cycle start at its
-    # minimum and orders cycles by first element already
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CycleForm:
-    """Canonical cycle decomposition: disjoint cycles of length >= 2, each
-    beginning at its smallest point, sorted by first element."""
-
-    degree: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
-        seen: set[int] = set()
-        previous_first = 0
-        for cycle in self.cycles:
-            if len(cycle) < 2:
-                raise ValueError("cycles need at least two points")
-            if cycle[0] != min(cycle):
-                raise ValueError(f"cycle {cycle} does not start at its minimum")
-            if cycle[0] <= previous_first:
-                raise ValueError("cycles are not sorted by first element")
-            previous_first = cycle[0]
-            for v in cycle:
-                if not 1 <= v <= self.degree:
-                    raise ValueError(f"point {v} out of range for degree {self.degree}")
-                if v in seen:
-                    raise ValueError(f"point {v} appears twice")
-                seen.add(v)
-
-    @classmethod
-    def from_permutation(cls, g: Permutation) -> "CycleForm":
-        return g.cycle_form()
-
-    def to_permutation(self) -> Permutation:
-        return Permutation.from_cycles(self.cycles, self.degree)
-
-    def __str__(self) -> str:
-        if not self.cycles:
-            return "()"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
-
-
 def format_cycles(g: Permutation) -> str:
     """Canonical cycle text; fixed points omitted, identity is ``()``."""
-    return str(g.cycle_form())
+    cycles = g.cycles()
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

@@ -29,13 +29,8 @@ from .families import (
     prime_family,
     toggle_permutation,
 )
-from .fibindex import fib, rank, unrank, unrank_masks
-from .graphs import (
-    _path_sets_in_rank_order,
-    _toggle_path_members,
-    format_set_text,
-    toggle_path_masks,
-)
+from .fibindex import fib, rank, rank_masks, unrank, unrank_masks
+from .graphs import format_set_text, toggle_path_masks
 from .perms import Permutation, format_cycles
 
 __all__ = [
@@ -396,6 +391,11 @@ _GOLDEN_TOGGLE_TRACES = (
 )
 
 
+def _mask_text(mask: int) -> str:
+    # bit v-1 stands for vertex v
+    return format_set_text(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def verify_golden_cases() -> VerificationReport:
     """The hand-computable small cases, byte-exact in canonical text."""
     claim = "golden-cases"
@@ -422,8 +422,7 @@ def verify_golden_cases() -> VerificationReport:
             )
     for n, table in _GOLDEN_INDEX_TABLES.items():
         got_table = tuple(
-            (format_set_text(s), i + 1)
-            for i, s in enumerate(_path_sets_in_rank_order(n))
+            (_mask_text(mask), i + 1) for i, mask in enumerate(unrank_masks(n).tolist())
         )
         if got_table != table:
             return _failed(
@@ -437,13 +436,13 @@ def verify_golden_cases() -> VerificationReport:
                     {"n": n, "index": idx},
                 )
     for n, k, text, before, after in _GOLDEN_TOGGLE_TRACES:
-        members = _path_sets_in_rank_order(n)[before - 1]
-        if format_set_text(members) != text:
+        mask = unrank_masks(n)[before - 1 : before]
+        if _mask_text(int(mask[0])) != text:
             return _failed(
                 claim, None, "trace set does not sit at its rank",
                 {"n": n, "set": text, "rank": before},
             )
-        got_after = rank(n, _toggle_path_members(k, members))
+        got_after = int(rank_masks(toggle_path_masks(k, mask))[0])
         t_after = generator(k, n).apply(before)
         if got_after != after or t_after != after:
             return _failed(

@@ -196,7 +196,7 @@ def test_criterion_7_engine_against_brute_force():
 
 def _entry_swaps(g: Permutation, degree: int):
     """All single-entry replacements inside one cycle of g."""
-    cycles = [list(c) for c in g.cycle_form().cycles]
+    cycles = [list(c) for c in g.cycles()]
     support = {v for c in cycles for v in c}
     for ci, cycle in enumerate(cycles):
         for pos in range(len(cycle)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -241,3 +242,64 @@ class TestParserReuse:
         assert first[0] == EXIT_OK and first[1]
         assert run(capsys, *argv) == first
         assert fresh_process(*argv) == first
+
+
+# SHA-256 of json.dumps([exit code, stdout, stderr]) for each command line,
+# taken when the pins were added.  A mismatch is an output change: the
+# text, the JSON or the exit code differs from what was printed before.
+OUTPUT_PINS = (
+    ("verify --max-n 12 --profile full", 1, "8566e6fd033342619ec0dc14b2d821e12a337813ff73f12f9f689342a7d4c8da"),
+    ("verify --max-n 10 --profile full --format json", 1, "d9498a0b6ec7314e747387dc3911bc42680ba3c1c28103c191c36e74060287b4"),
+    ("verify --max-n 4", 1, "f148c4ac36d3e4387b527d5545074395f0bde7a158216b73edfcc8c015d28cab"),
+    ("verify --max-n 4 --format json", 1, "cb3316c05f9836c72e61613e68e7368b115b1018847471b6f79534fe5c5f7dee"),
+    ("enumerate --n 5", 0, "effb33b24c4f91ab40ff53b63c8345f256ffa09aa4352c23b5e5c63b89b1cff7"),
+    ("enumerate --n 5 --format json", 0, "139fbf371aee2d23408b7cb1df889531de7044bd3284fb2faeb1e22a00a8a361"),
+    ("index --n 6 --set {1,3,6}", 0, "599c374f3b906b39ffa0a02c441cb595d9ed3466209dced059ebc1be81557374"),
+    ("index --n 6 --set {1,3,6} --format json", 0, "acf8772000730f285fd3ee0be035fc7eb2ad846a7eb1d240bfc2be6a7f2d0218"),
+    ("unindex --n 6 --idx 11", 0, "1fc74a9a41d270b0063643de8f97a3bd52e1d25c6be91b037fe1f5fc2cca40a2"),
+    ("unindex --n 6 --idx 11 --format json", 0, "abd67529fa141e416b49dd460d1d2f60753b58902bb9048f9f39bc78777a60b5"),
+    ("toggle --n 6 --k 3 --set {1,5}", 0, "69afeeb87de30a2699cb238c96080c34a612994738a19f4c004480e8460efb38"),
+    ("toggle --n 6 --k 3 --set {1,5} --format json", 0, "7753f26d49eda2cf3a17250ee93a0b57e34508136f54bbc7935db09a0e1937cf"),
+    ("generators --n 5", 0, "08abb484c5a100cd440d707a6a8363891c9da9ee26ffdd46d1290366fb83c5b4"),
+    ("generators --n 5 --format json", 0, "5cba92c6cc54b8f7aaccfcb38ec4f968851daa9619b8fcdd8249e6a853055874"),
+    ("generators --n 5 --prime", 0, "aec3d4d5c89ec6ee23336f6c75e6d65d6c589ac1fa37fd04bc1a5880ebd8a83f"),
+    ("generators --n 5 --prime --format json", 0, "a22454981e3550245527729c1f47130a7b540cfce45b43d5963bb607e405390d"),
+    ("hat-t --n 5", 0, "e72ce48b5ca2273754bf07fec8c450adc7850c02dbbf6a9d1b865e9b5b6ae962"),
+    ("hat-t --n 5 --format json", 0, "35dfcf6d61cd4d114582ba118dbcc212d3468564731708ff5e3d2d101d0fd6fe"),
+    ("toggle-perm --n 5 --k 2", 0, "c3a32491bea5f6b5ff1dab4ef4ad73d671d11df0c18406c3d35dd7eada13aa9b"),
+    ("toggle-perm --n 5 --k 2 --format json", 0, "24f74ed402a3a6f7553a092b5fc6729919b25d9e106338947625f2bb31fefbeb"),
+    ("order --n 0", 0, "90f825953954db045408ae19c16f8d5c303b78bee1e163d305a16d9c6544950d"),
+    ("order --n 0 --prime", 2, "fe9b2f535fbda4487172943d35c49d49ca34b73bbf0cf71653b38c8a9b0cd13e"),
+    ("order --n 0 --toggles", 0, "90f825953954db045408ae19c16f8d5c303b78bee1e163d305a16d9c6544950d"),
+    ("order --n 1", 0, "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5"),
+    ("order --n 1 --prime", 2, "fe9b2f535fbda4487172943d35c49d49ca34b73bbf0cf71653b38c8a9b0cd13e"),
+    ("order --n 1 --toggles", 0, "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5"),
+    ("order --n 2", 0, "d031547bdabb3351c707fa46cdaf9c2a8912b5c6a60ea7dddafbe10e0c5cc001"),
+    ("order --n 2 --prime", 2, "fe9b2f535fbda4487172943d35c49d49ca34b73bbf0cf71653b38c8a9b0cd13e"),
+    ("order --n 2 --toggles", 0, "d031547bdabb3351c707fa46cdaf9c2a8912b5c6a60ea7dddafbe10e0c5cc001"),
+    ("order --n 3", 0, "a3ee6936fb292ac0fa1d84153386534b8e8c5359e0fd26a4ea00df56934b4bbc"),
+    ("order --n 3 --prime", 0, "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5"),
+    ("order --n 3 --toggles", 0, "a3ee6936fb292ac0fa1d84153386534b8e8c5359e0fd26a4ea00df56934b4bbc"),
+    ("order --n 4", 0, "6dc3d4bfb1c2bd2ee2e121e2ff6633a6865346f51db2ad48611465cd2240c2f2"),
+    ("order --n 4 --prime", 0, "62dc9ed5681ed0576e8060dd77cef22fe76086a0cacb09291d1798bbac0f29e9"),
+    ("order --n 4 --toggles", 0, "6dc3d4bfb1c2bd2ee2e121e2ff6633a6865346f51db2ad48611465cd2240c2f2"),
+    ("order --n 5", 0, "e83a933776f1a58db18ed7819337d51d64b51c28795dfadf954e92a9319b0359"),
+    ("order --n 5 --prime", 0, "ae356f8ccd67ac68ea58d9db6af965c18d7798aa1694403769213df1dd9ed24c"),
+    ("order --n 5 --toggles", 0, "e83a933776f1a58db18ed7819337d51d64b51c28795dfadf954e92a9319b0359"),
+    ("order --n 6", 0, "a8e84eb0a4bf1bad8efd22df0c31ead16654458a7e5601281e7a4217c600d8fe"),
+    ("order --n 6 --prime", 0, "53261c46f878467846cdff3d3ce2d435fdb66677df0f45124c873b97bcd5813b"),
+    ("order --n 6 --toggles", 0, "a8e84eb0a4bf1bad8efd22df0c31ead16654458a7e5601281e7a4217c600d8fe"),
+    ("order --n 6 --toggles --format json", 0, "53ef7576543804d2a8ad597ffdc18dddda657f8367c93b907f17b7b859c85362"),
+    ("index --n 4 --set {2,3}", 2, "9f04a848204286e4b474643aaef32196fd732e34da5b7e0c29c35855d9f76194"),
+    ("enumerate --n 40", 3, "c7a724602de20db33944408a15a78a4ecc238b4dc31c91fc1072c34dba3f157b"),
+)
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize(
+        "command, code, digest", OUTPUT_PINS, ids=[c for c, _, _ in OUTPUT_PINS]
+    )
+    def test_output_is_unchanged(self, capsys, command, code, digest):
+        got = run(capsys, *command.split())
+        assert got[0] == code
+        assert hashlib.sha256(json.dumps(list(got)).encode()).hexdigest() == digest

@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from togglegroup import (
     FIB_CEILING,
     FibCeilingError,
-    drop_end_vertex,
     fib,
     rank,
     rank_masks,
-    shift_identity_holds,
     unrank,
     unrank_masks,
 )
@@ -210,31 +208,34 @@ class TestZeckendorf:
         assert rank_masks(np.array([mask])).tolist() == [rank(MAX_CLI_N, members)]
 
 
+def shifted_ranks(n):
+    """The ranks of I and of I with vertex n added, over every set I of the
+    path on 1..n-2, read from the mask table."""
+    inner = unrank_masks(n - 2)
+    return rank_masks(inner), rank_masks(inner | (1 << (n - 1)))
+
+
 class TestDropEndVertex:
-    def test_examples(self):
-        assert drop_end_vertex(4, {2, 4}) == frozenset({2})
-        assert drop_end_vertex(3, {3}) == frozenset()
-        assert drop_end_vertex(5, {1, 3, 5}) == frozenset({1, 3})
-
     def test_result_lives_two_vertices_down(self):
-        assert rank(3, drop_end_vertex(5, {1, 3, 5})) == 5  # {1,3} in the n=3 table
-
-    def test_requires_the_end_vertex(self):
-        with pytest.raises(ValueError):
-            drop_end_vertex(4, {2})
+        # {1,3,5} without its end vertex is {1,3}, rank 5 in the n=3 table
+        assert unrank(3, 5) == frozenset({1, 3})
+        assert rank(5, {1, 3, 5}) - fib(6) == rank(3, {1, 3}) == 5
 
 
 class TestShiftIdentity:
+    """rank(I + {n}) == rank(I) + f(n+1) for every set I of the path on 1..n-2."""
+
     def test_small_cases(self):
-        assert shift_identity_holds(3)
-        assert shift_identity_holds(4)
+        for n in (3, 4):
+            plain, shifted = shifted_ranks(n)
+            np.testing.assert_array_equal(shifted, plain + fib(n + 1))
+            # the shifted sets are exactly the ranks above f(n+1)
+            np.testing.assert_array_equal(shifted, np.arange(fib(n + 1) + 1, fib(n + 2) + 1))
 
     def test_worked_instance(self):
         assert rank(4, {2, 4}) == rank(4, {2}) + fib(5)
 
     def test_range_3_to_20(self):
-        assert all(shift_identity_holds(n) for n in range(3, 21))
-
-    def test_requires_n_at_least_3(self):
-        with pytest.raises(ValueError):
-            shift_identity_holds(2)
+        for n in range(3, 21):
+            plain, shifted = shifted_ranks(n)
+            np.testing.assert_array_equal(shifted, plain + fib(n + 1))

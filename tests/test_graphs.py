@@ -15,7 +15,6 @@ from togglegroup import (
     parse_graph_text,
     parse_set_text,
     path_graph,
-    reduce_to_empty,
     toggle,
     toggle_path,
 )
@@ -191,19 +190,24 @@ class TestToggle:
 
 
 class TestReduceToEmpty:
+    """Toggling the members in ascending order empties a set: each step
+    is a removal."""
+
     def test_ascending_order_and_fold(self):
         g = path_graph(3)
-        independent = IndependentSet(g, frozenset({1, 3}))
-        order = reduce_to_empty(g, independent)
-        assert order == [1, 3]
-        state = independent
-        for v in order:
+        state = IndependentSet(g, frozenset({1, 3}))
+        for v in sorted(state.members):
+            before = state.members
             state = toggle(g, v, state)
+            assert state.members == before - {v}
         assert state.members == frozenset()
 
     def test_empty_set(self):
         g = path_graph(2)
-        assert reduce_to_empty(g, IndependentSet(g, frozenset())) == []
+        state = IndependentSet(g, frozenset())
+        for v in sorted(state.members):
+            state = toggle(g, v, state)
+        assert state.members == frozenset()
 
     def test_folds_to_empty_everywhere(self):
         rng = random.Random(3)
@@ -212,7 +216,7 @@ class TestReduceToEmpty:
         for g in graphs:
             for independent in enumerate_independent_sets(g):
                 state = independent
-                for v in reduce_to_empty(g, independent):
+                for v in sorted(independent.members):
                     state = toggle(g, v, state)
                 assert state.members == frozenset()
 

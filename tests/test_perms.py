@@ -1,8 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from togglegroup import (
-    CycleForm,
     CycleParseError,
     DegreeMismatchError,
     Permutation,
@@ -56,6 +56,19 @@ class TestConstruction:
         with pytest.raises(ValueError) as raised:
             Permutation(images)
         assert str(raised.value) == message
+
+    def test_images_must_be_integers(self):
+        # a float equal to an integer passes the bijection check, so the type is checked
+        for images in ([2.0, 1.0], [1, 2.0]):
+            with pytest.raises(ValueError) as raised:
+                Permutation(images)
+            assert str(raised.value) == "images must be integers"
+
+    def test_numpy_integer_images_are_integers(self):
+        g = Permutation(np.array([2, 1, 3]))
+        assert g == Permutation([2, 1, 3])
+        assert str(g) == "(1,2)"
+        assert all(type(x) is int for x in g.images)
 
     def test_from_cycles_rejects_overlap(self):
         with pytest.raises(ValueError):
@@ -168,15 +181,10 @@ class TestCycleText:
             parse_cycles("(1,2)(2,3)", 5)
 
     def test_cycle_form_canonical_invariants(self):
-        form = perm("(2,6)(3,5)", 6).cycle_form()
-        assert form.cycles == ((2, 6), (3, 5))
-        assert form.to_permutation() == perm("(2,6)(3,5)", 6)
-
-    def test_cycle_form_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            CycleForm(degree=5, cycles=((3, 4), (1, 2)))
-        with pytest.raises(ValueError):
-            CycleForm(degree=5, cycles=((2, 1),))
+        g = perm("(6,2)(5,3)", 6)
+        assert g.cycles() == ((2, 6), (3, 5))
+        assert Permutation.from_cycles(g.cycles(), 6) == g
+        assert Permutation.identity(4).cycles() == ()
 
 
 @st.composite
@@ -209,8 +217,8 @@ class TestProperties:
     @given(permutation_pairs())
     def test_conjugation_preserves_cycle_type(self, pair):
         g, s = pair
-        lengths = sorted(len(c) for c in g.cycle_form().cycles)
-        conjugated = sorted(len(c) for c in g.conjugate(s).cycle_form().cycles)
+        lengths = sorted(len(c) for c in g.cycles())
+        conjugated = sorted(len(c) for c in g.conjugate(s).cycles())
         assert lengths == conjugated
 
     @given(permutation_pairs())
