@@ -26,7 +26,9 @@ from .graphs import (
     toggle_path,
 )
 from .perms import format_cycles
-from .verify import all_claim_ids, verify_all
+# the CLI materializes permutations and enumerations, and builds chains,
+# up to the full verification profile's bounds
+from .verify import FULL_CHAIN_DEGREE_CAP, FULL_ENUMERATION_CAP, all_claim_ids, verify_all
 
 __all__ = ["main"]
 
@@ -35,28 +37,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# a permutation or enumeration of this many points is the largest the CLI
-# will materialize; chains follow the engine's documented ample range
-MAX_MATERIALIZED_DEGREE = 1_000_000
-MAX_CHAIN_DEGREE = 377
-
 
 class ResourceBoundError(RuntimeError):
     """Request exceeds the configured resource bounds."""
 
 
-def _degree(n: int) -> int:
-    try:
-        return fib(n + 2)
-    except FibCeilingError as exc:
-        raise ResourceBoundError(str(exc)) from None
-
-
 def _check_materializable(n: int) -> int:
-    degree = _degree(n)
-    if degree > MAX_MATERIALIZED_DEGREE:
+    degree = fib(n + 2)
+    if degree > FULL_ENUMERATION_CAP:
         raise ResourceBoundError(
-            f"degree {degree} exceeds the materialization bound {MAX_MATERIALIZED_DEGREE}"
+            f"degree {degree} exceeds the materialization bound {FULL_ENUMERATION_CAP}"
         )
     return degree
 
@@ -82,21 +72,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    _degree(args.n)
+    fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
     idx = rank(args.n, parse_set_text(args.set))
     _emit(args, [str(idx)], {"index": idx})
     return EXIT_OK
 
 
 def _cmd_unindex(args: argparse.Namespace) -> int:
-    _degree(args.n)
+    fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
     text = format_set_text(unrank(args.n, args.idx))
     _emit(args, [text], {"set": text})
     return EXIT_OK
 
 
 def _cmd_toggle(args: argparse.Namespace) -> int:
-    _degree(args.n)
+    fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
     independent = IndependentSet(PathGraph(args.n), parse_set_text(args.set))
     text = str(toggle_path(args.n, args.k, independent))
     _emit(args, [text], {"set": text})
@@ -110,7 +100,7 @@ def _cmd_generators(args: argparse.Namespace) -> int:
     _emit(
         args,
         lines,
-        {"n": args.n, "degree": _degree(args.n), "prime": bool(args.prime), "members": lines},
+        {"n": args.n, "degree": fib(args.n + 2), "prime": bool(args.prime), "members": lines},
     )
     return EXIT_OK
 
@@ -131,16 +121,16 @@ def _cmd_toggle_perm(args: argparse.Namespace) -> int:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     degree = _check_materializable(args.n)
-    if degree > MAX_CHAIN_DEGREE:
+    if degree > FULL_CHAIN_DEGREE_CAP:
         raise ResourceBoundError(
-            f"degree {degree} exceeds the chain bound {MAX_CHAIN_DEGREE}"
+            f"degree {degree} exceeds the chain bound {FULL_CHAIN_DEGREE_CAP}"
         )
     if args.prime:
         generators = list(prime_family(args.n))
-    elif args.toggles:
-        generators = [toggle_permutation(args.n, k) for k in range(1, args.n + 1)]
     else:
-        generators = list(family(args.n).members)
+        generators = list(family(args.n).members)  # family rejects n < 1
+        if args.toggles:
+            generators = [toggle_permutation(args.n, k) for k in range(1, args.n + 1)]
     order = build_chain(generators, degree).order()
     _emit(args, [str(order)], {"order": str(order)})
     return EXIT_OK
@@ -193,46 +183,40 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_n = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_n.add_argument("--n", type=int, required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, func, help_text, parent=with_n):
+        p = sub.add_parser(name, parents=[parent], help=help_text)
         p.set_defaults(func=func)
         return p
 
-    p = add("enumerate", _cmd_enumerate, "list independent sets in rank order")
-    p.add_argument("--n", type=int, required=True)
+    add("enumerate", _cmd_enumerate, "list independent sets in rank order")
 
     p = add("index", _cmd_index, "rank of an independent set")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, help='set text like "{1,3}"')
 
     p = add("unindex", _cmd_unindex, "independent set at a rank")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--idx", type=int, required=True)
 
     p = add("toggle", _cmd_toggle, "toggle vertex k in an independent set")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--set", required=True)
 
     p = add("generators", _cmd_generators, "print the generator family")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--prime", action="store_true", help="only members with k <= n-2")
 
-    p = add("hat-t", _cmd_hat_t, "print the block-swap involution")
-    p.add_argument("--n", type=int, required=True)
+    add("hat-t", _cmd_hat_t, "print the block-swap involution")
 
     p = add("toggle-perm", _cmd_toggle_perm, "permutation of ranks induced by a toggle")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = add("order", _cmd_order, "exact order of the generated group")
-    p.add_argument("--n", type=int, required=True)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--prime", action="store_true", help="reduced family")
     which.add_argument("--toggles", action="store_true", help="toggle-induced permutations")
 
-    p = add("verify", _cmd_verify, "run the verification harness")
+    p = add("verify", _cmd_verify, "run the verification harness", common)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--claim", help="restrict to one claim id")
@@ -254,10 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except ResourceBoundError as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except FibCeilingError as exc:
+    except (ResourceBoundError, FibCeilingError) as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -113,7 +113,7 @@ class StabilizerChain:
                 continue
             residue, j = found
             if j == len(self._base):
-                self._append_level(int(np.nonzero(residue != self._ident)[0][0]))
+                self._append_level(residue)
             rinv = _invert(residue)
             for level in range(i + 1, j + 1):
                 self._add_generator(level, residue, rinv)
@@ -130,7 +130,6 @@ class StabilizerChain:
         # point to p, so the stored table sends p back to the base point
         self._tinv: list[dict[int, np.ndarray]] = []
         self._pts: list[list[int]] = []       # orbit in discovery order
-        self._inorb: list[np.ndarray] = []    # orbit membership masks
         self._work: list[deque[int]] = []     # pending Schreier pairs per level
         self._scanned: list[int] = []         # generators already closed over, per level
 
@@ -139,7 +138,7 @@ class StabilizerChain:
         # base points so that every generator moves one
         for r in raws:
             if all(r[b] == b for b in self._base):
-                self._append_level(int(np.nonzero(r != self._ident)[0][0]))
+                self._append_level(r)
         # distribute: level i holds the generators fixing the first i base points
         for r in raws:
             inv = _invert(r)
@@ -193,7 +192,7 @@ class StabilizerChain:
                 stall += 1
                 continue
             if j == len(self._base):
-                self._append_level(int(np.nonzero(residue != self._ident)[0][0]))
+                self._append_level(residue)
             before = len(self._pts[j])
             self._add_generator(j, residue, _invert(residue))
             self._extend_orbit(j)
@@ -202,15 +201,14 @@ class StabilizerChain:
             stall = 0
         return False
 
-    def _append_level(self, base_point: int) -> None:
+    def _append_level(self, r: np.ndarray) -> None:
+        # the new base point is the first point that table r moves
+        base_point = int(np.nonzero(r != self._ident)[0][0])
         self._base.append(base_point)
         self._gens.append([])
         self._invs.append([])
         self._tinv.append({base_point: self._ident})
         self._pts.append([base_point])
-        mask = np.zeros(self.degree, dtype=bool)
-        mask[base_point] = True
-        self._inorb.append(mask)
         self._work.append(deque())
         self._scanned.append(0)
 
@@ -229,7 +227,6 @@ class StabilizerChain:
     def _adjoin_point(self, i: int, x: int, rep_inv: np.ndarray) -> None:
         self._tinv[i][x] = rep_inv
         self._pts[i].append(x)
-        self._inorb[i][x] = True
         if self._collect_pairs:
             base = x * _STRIDE
             self._work[i].extend(range(base, base + len(self._gens[i])))
@@ -237,36 +234,23 @@ class StabilizerChain:
     def _extend_orbit(self, i: int) -> None:
         # close the basic orbit under the level's generators; existing
         # transversal entries are kept, new points appended in scan order.
-        # Points scanned before only have to revisit generators added since,
-        # one vectorized pass per generator.  The points found after that
-        # are closed over in rounds, generator by generator, with scalar
-        # reads: Schreier trees are deep, so a round mostly holds a point or
-        # two, too few to pay for the numpy calls of a vectorized pass.
-        # The representative at s(p) is s composed after the one at p, so
-        # its inverse is the inverse at p composed after s^-1
-        tinv = self._tinv[i]
-        pts, inorb = self._pts[i], self._inorb[i]
+        # Points scanned before only have to revisit generators added since;
+        # the points found after that are closed over in rounds, generator
+        # by generator.  The representative at s(p) is s composed after the
+        # one at p, so its inverse is the inverse at p composed after s^-1
+        tinv, pts = self._tinv[i], self._pts[i]
         gens, invs = self._gens[i], self._invs[i]
         first_new = self._scanned[i]
         self._scanned[i] = len(gens)
-        k = len(pts)
-        if first_new < len(gens):
-            chunk = np.array(pts, dtype=np.intp)
-            for gi in range(first_new, len(gens)):
-                s, si = gens[gi], invs[gi]
-                for t in np.nonzero(~inorb[s[chunk]])[0].tolist():
-                    p = pts[t]
-                    x = s.item(p)
-                    if x not in tinv:
-                        self._adjoin_point(i, x, tinv[p][si])
-        while k < len(pts):
-            chunk_pts = pts[k:]
+        chunk = pts[:]
+        while chunk:
             k = len(pts)
-            for s, si in zip(gens, invs):
-                for p in chunk_pts:
+            for s, si in zip(gens[first_new:], invs[first_new:]):
+                for p in chunk:
                     x = s.item(p)
                     if x not in tinv:
                         self._adjoin_point(i, x, tinv[p][si])
+            chunk, first_new = pts[k:], 0
 
     def _first_unwitnessed(self, i):
         # first pending Schreier generator of level i that does not sift to

@@ -87,6 +87,8 @@ def generator(k: int, n: int) -> Permutation:
 
 def family(n: int) -> GeneratorFamily:
     """All n family members at size n, ascending k."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return GeneratorFamily(
         n=n,
         degree=fib(n + 2),

@@ -10,7 +10,7 @@ and a whole-table toggle on bitmasks (bit v-1 for vertex v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -110,14 +110,9 @@ class IndependentSet:
     def __post_init__(self) -> None:
         members = frozenset(self.members)
         object.__setattr__(self, "members", members)
-        n = self.graph.vertex_count
-        for v in members:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex {v} out of range for graph on 1..{n}")
-        for v in members:
-            for u in members:
-                if u < v and self.graph.has_edge(u, v):
-                    raise ValueError(f"set is not independent: {u} and {v} are adjacent")
+        pair = _adjacent_pair(self.graph, members)
+        if pair is not None:
+            raise ValueError("set is not independent: {} and {} are adjacent".format(*pair))
 
     @classmethod
     def _trusted(cls, graph: Graph, members: frozenset[int]) -> "IndependentSet":
@@ -139,23 +134,30 @@ def path_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, frozenset((i, i + 1) for i in range(1, n)))
 
 
-def is_independent(g: Graph, members: Iterable[int]) -> bool:
-    """Whether no edge of g has both endpoints in ``members``."""
-    s = frozenset(members)
+def _adjacent_pair(g: Graph, members: frozenset[int]) -> Optional[tuple[int, int]]:
+    # the first pair u < v of members joined by an edge of g, or None;
+    # raises on a vertex outside g
     n = g.vertex_count
-    for v in s:
+    for v in members:
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} out of range for graph on 1..{n}")
-    return not any(u < v and g.has_edge(u, v) for v in s for u in s)
+    return next(
+        ((u, v) for v in members for u in members if u < v and g.has_edge(u, v)), None
+    )
+
+
+def is_independent(g: Graph, members: Iterable[int]) -> bool:
+    """Whether no edge of g has both endpoints in ``members``."""
+    return _adjacent_pair(g, frozenset(members)) is None
 
 
 def _path_sets_in_rank_order(n: int) -> list[frozenset[int]]:
-    # rows[m] lists the independent sets of the path on 1..m in rank order:
-    # first those without vertex m, then those with it
-    rows: list[list[frozenset[int]]] = [[frozenset()], [frozenset(), frozenset({1})]]
+    # the independent sets of the path on 1..m in rank order: first those
+    # without vertex m (the sets of 1..m-1), then those of 1..m-2 with m added
+    shorter, sets = [frozenset()], [frozenset(), frozenset({1})]
     for m in range(2, n + 1):
-        rows.append(rows[m - 1] + [s | {m} for s in rows[m - 2]])
-    return rows[n]
+        shorter, sets = sets, sets + [s | {m} for s in shorter]
+    return sets
 
 
 def enumerate_independent_sets(g: Graph) -> list[IndependentSet]:
@@ -227,6 +229,11 @@ def toggle_path(n: int, k: int, independent: IndependentSet) -> IndependentSet:
     return IndependentSet._trusted(g, _toggle_path_members(k, independent.members))
 
 
+def _is_decimal(text: str) -> bool:
+    # str.isdigit alone also admits digits such as '٣' and '²'
+    return text.isascii() and text.isdigit()
+
+
 def format_set_text(members: Iterable[int]) -> str:
     """Canonical set text: ``{}`` or ``{v1,v2,...}`` ascending, no spaces."""
     return "{" + ",".join(map(str, sorted(members))) + "}"
@@ -241,7 +248,7 @@ def parse_set_text(text: str) -> frozenset[int]:
         return frozenset()
     members = []
     for part in inner.split(","):
-        if not part.isdigit():
+        if not _is_decimal(part):
             raise ValueError(f"bad vertex {part!r} in set text {text!r}")
         members.append(int(part))
     if any(a >= b for a, b in zip(members, members[1:])):
@@ -263,13 +270,13 @@ def parse_graph_text(text: str) -> SimpleGraph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph text")
-    if not lines[0].isdigit():
+    if not _is_decimal(lines[0]):
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}")
     n = int(lines[0])
     pairs = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(_is_decimal, parts)):
             raise ValueError(f"bad edge line {ln!r}")
         u, v = int(parts[0]), int(parts[1])
         if not (1 <= u <= n and 1 <= v <= n):

@@ -101,7 +101,7 @@ class Permutation:
     @property
     def images(self) -> tuple[int, ...]:
         """The 1-based image table: ``images[i-1]`` is the image of point i."""
-        return tuple(x + 1 for x in self._img)
+        return tuple([x + 1 for x in self._img])
 
     def apply(self, x: int) -> int:
         if not 1 <= x <= len(self._img):
@@ -141,19 +141,8 @@ class Permutation:
 
     def parity(self) -> int:
         """+1 for even permutations, -1 for odd ones."""
-        img = self._img
-        m = len(img)
-        seen = bytearray(m)
-        cycles = 0
-        for s in range(m):
-            if seen[s]:
-                continue
-            cycles += 1
-            j = s
-            while not seen[j]:
-                seen[j] = 1
-                j = img[j]
-        return 1 if (m - cycles) % 2 == 0 else -1
+        # a cycle of length l is a product of l-1 transpositions
+        return 1 if sum(len(c) - 1 for c in self.cycles()) % 2 == 0 else -1
 
     def extend(self, degree: int) -> "Permutation":
         """Embed into S_degree, fixing the new points."""
@@ -252,7 +241,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         points: list[int] = []
         while True:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i:
                 raise CycleParseError("expected an integer", i)

@@ -59,6 +59,9 @@ FULL_CHAIN_DEGREE_CAP = 377
 
 _STATUSES = ("pass", "fail", "skipped")
 
+# random diagonal elements that diagonal-generation sifts into its chain
+_DIAGONAL_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -206,7 +209,6 @@ def verify_symmetric_generation(
 def verify_diagonal_generation(
     n: int,
     generators: Optional[Sequence[Permutation]] = None,
-    samples: int = 100,
 ) -> VerificationReport:
     """Check the claim that the reduced family generates exactly the
     diagonal copy of S_f(n).
@@ -247,7 +249,7 @@ def verify_diagonal_generation(
         )
     rng = random.Random(1000 + n)
     low = fib(n)
-    for _ in range(samples):
+    for _ in range(_DIAGONAL_SAMPLES):
         images = list(range(1, low + 1))
         rng.shuffle(images)
         member = diagonal_embed(n, Permutation(images))
@@ -258,7 +260,8 @@ def verify_diagonal_generation(
             )
     return _passed(
         claim, n,
-        f"order {fib(n)}! confirmed, strong generators diagonal, {samples} samples sift",
+        f"order {fib(n)}! confirmed, strong generators diagonal, "
+        f"{_DIAGONAL_SAMPLES} samples sift",
     )
 
 
@@ -492,48 +495,36 @@ def verify_all(
     def wanted(claim_id: str) -> bool:
         return claims is None or claim_id in claims
 
+    def run(claim_id: str, cap: int, bound: str, verify) -> None:
+        # at the loop's current n: run a wanted claim, or report it skipped
+        # past the profile's bound.  Each verifier is looked up when its
+        # lambda runs, so a module name rebound after import (by a tracer,
+        # say) is the one called
+        if wanted(claim_id):
+            reports.append(verify() if degree <= cap else _skipped(
+                claim_id, n, f"degree {degree} exceeds the {profile} {bound} bound {cap}"
+            ))
+
     reports: list[VerificationReport] = []
     if wanted("golden-cases"):
         reports.append(verify_golden_cases())
     for n in range(1, max_n + 1):
         degree = fib(n + 2)
-        enum_note = f"degree {degree} exceeds the {profile} enumeration bound {enum_cap}"
-        chain_note = f"degree {degree} exceeds the {profile} chain bound {chain_cap}"
-        if wanted("intertwining"):
-            reports.append(
-                verify_intertwining(n) if degree <= enum_cap
-                else _skipped("intertwining", n, enum_note)
-            )
-        if wanted("coxeter-relations"):
-            reports.append(
-                verify_coxeter_relations(n) if degree <= enum_cap
-                else _skipped("coxeter-relations", n, enum_note)
-            )
-        if wanted("count-transitivity"):
-            reports.append(
-                verify_count_and_transitivity(n) if degree <= enum_cap
-                else _skipped("count-transitivity", n, enum_note)
-            )
+        run("intertwining", enum_cap, "enumeration", lambda: verify_intertwining(n))
+        run("coxeter-relations", enum_cap, "enumeration", lambda: verify_coxeter_relations(n))
+        run("count-transitivity", enum_cap, "enumeration",
+            lambda: verify_count_and_transitivity(n))
         # symmetric-generation and three-cycles read the same family chain
         chain = None
         if degree <= chain_cap and (
             wanted("symmetric-generation") or (n >= 4 and wanted("three-cycles"))
         ):
             chain = build_chain(family(n).members, degree)
-        if wanted("symmetric-generation"):
-            reports.append(
-                verify_symmetric_generation(n, chain=chain) if degree <= chain_cap
-                else _skipped("symmetric-generation", n, chain_note)
-            )
-        if n >= 3 and wanted("diagonal-generation"):
-            reports.append(
-                verify_diagonal_generation(n) if degree <= chain_cap
-                else _skipped("diagonal-generation", n, chain_note)
-            )
-        if n >= 4 and wanted("three-cycles"):
-            reports.append(
-                verify_three_cycles(n, chain=chain) if degree <= chain_cap
-                else _skipped("three-cycles", n, chain_note)
-            )
+        run("symmetric-generation", chain_cap, "chain",
+            lambda: verify_symmetric_generation(n, chain=chain))
+        if n >= 3:
+            run("diagonal-generation", chain_cap, "chain", lambda: verify_diagonal_generation(n))
+        if n >= 4:
+            run("three-cycles", chain_cap, "chain", lambda: verify_three_cycles(n, chain=chain))
     reports.sort(key=lambda r: (r.claim_id, r.n if r.n is not None else 0))
     return reports

@@ -129,7 +129,7 @@ def test_criterion_3_reduced_families_generate_diagonal():
                 f"reduced family at n={n} has order {chain.order()}, "
                 f"not f(n)!*f(n-1)! = {expected}"
             )
-            report = verify_diagonal_generation(n, samples=100)
+            report = verify_diagonal_generation(n)
             if n == 3:
                 assert report.passed, report.text_line()
                 continue

@@ -131,6 +131,13 @@ class TestOrder:
         code, out, _ = run(capsys, "order", "--n", "4", "--format", "json")
         assert json.loads(out) == {"order": "40320"}
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    @pytest.mark.parametrize(
+        "argv", [("order",), ("order", "--toggles"), ("generators",)]
+    )
+    def test_n_below_one_is_usage_error(self, capsys, argv, n):
+        assert run(capsys, *argv, "--n", n) == (EXIT_USAGE, "", "error: n must be at least 1\n")
+
     def test_prime_and_toggles_exclusive(self, capsys):
         code, _, _ = run(capsys, "order", "--n", "4", "--prime", "--toggles")
         assert code == EXIT_USAGE
@@ -268,9 +275,9 @@ OUTPUT_PINS = (
     ("hat-t --n 5 --format json", 0, "35dfcf6d61cd4d114582ba118dbcc212d3468564731708ff5e3d2d101d0fd6fe"),
     ("toggle-perm --n 5 --k 2", 0, "c3a32491bea5f6b5ff1dab4ef4ad73d671d11df0c18406c3d35dd7eada13aa9b"),
     ("toggle-perm --n 5 --k 2 --format json", 0, "24f74ed402a3a6f7553a092b5fc6729919b25d9e106338947625f2bb31fefbeb"),
-    ("order --n 0", 0, "90f825953954db045408ae19c16f8d5c303b78bee1e163d305a16d9c6544950d"),
+    ("order --n 0", 2, "61031727cce6a3e7d18f732bd0a561406635d201a5d79c0a6298fc92de71308c"),
     ("order --n 0 --prime", 2, "fe9b2f535fbda4487172943d35c49d49ca34b73bbf0cf71653b38c8a9b0cd13e"),
-    ("order --n 0 --toggles", 0, "90f825953954db045408ae19c16f8d5c303b78bee1e163d305a16d9c6544950d"),
+    ("order --n 0 --toggles", 2, "61031727cce6a3e7d18f732bd0a561406635d201a5d79c0a6298fc92de71308c"),
     ("order --n 1", 0, "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5"),
     ("order --n 1 --prime", 2, "fe9b2f535fbda4487172943d35c49d49ca34b73bbf0cf71653b38c8a9b0cd13e"),
     ("order --n 1 --toggles", 0, "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5"),

@@ -67,6 +67,11 @@ class TestGenerators:
         # t(1,5) unwinds to t(1,4) times t(1,3) conjugated into the top block
         assert format_cycles(generator(1, 5)) == "(1,2)(4,5)(6,7)(9,10)(12,13)"
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_family_needs_one(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            family(n)
+
     def test_prime_family_needs_three(self):
         with pytest.raises(ValueError):
             prime_family(2)

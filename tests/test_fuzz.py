@@ -1,0 +1,113 @@
+"""Fuzzing the three text parsers and the command line.
+
+Each parser may only reject input with its documented error, and what it
+accepts is written in ASCII digits and its own punctuation.  The command
+line may only return an exit code, never raise, and rejects n < 1.
+"""
+
+import contextlib
+import io
+
+from hypothesis import example, given, settings, strategies as st
+
+from togglegroup import (
+    CycleParseError,
+    all_claim_ids,
+    format_set_text,
+    parse_cycles,
+    parse_graph_text,
+    parse_set_text,
+)
+from togglegroup.cli import main
+
+# the parsers' own characters, mixed with lookalikes: digits that are not
+# ASCII, a sign, a letter and other whitespace
+_NOISE = ["²", "٣", "１", "-", "x", "\t", "\n"]
+
+
+def texts(alphabet: str):
+    return st.lists(st.sampled_from(list(alphabet) + _NOISE), max_size=12).map("".join)
+
+
+@given(texts("(), 0123456789"), st.integers(1, 12))
+@example("(1,²)", 3)
+@example("(1,٣)", 3)
+def test_parse_cycles_raises_only_cycle_parse_error(text, degree):
+    try:
+        parse_cycles(text, degree)
+    except CycleParseError:
+        return
+    assert set(text) <= set("(),0123456789 \t\n")
+
+
+@given(texts("{},0123456789"))
+@example("{٣}")
+def test_parse_set_text_raises_only_value_error(text):
+    try:
+        members = parse_set_text(text)
+    except ValueError:
+        return
+    assert set(text) <= set("{},0123456789")
+    assert parse_set_text(format_set_text(members)) == members
+
+
+@given(texts("0123456789 \n"))
+@example("٣\n1 2\n")
+def test_parse_graph_text_raises_only_value_error(text):
+    try:
+        parse_graph_text(text)
+    except ValueError:
+        return
+    assert set(text) <= set("0123456789 \t\n")
+
+
+# the options each subcommand takes besides --n (--max-n for verify)
+_OPTIONS = {
+    "enumerate": (),
+    "index": ("--set",),
+    "unindex": ("--idx",),
+    "toggle": ("--k", "--set"),
+    "generators": ("--prime",),
+    "hat-t": (),
+    "toggle-perm": ("--k",),
+    "order": ("--prime", "--toggles"),
+    "verify": ("--profile", "--claim"),
+}
+
+_VALUES = {
+    "--set": texts("{},0123456789"),
+    "--k": st.integers(-1, 9).map(str),
+    "--idx": st.integers(-1, 60).map(str),
+    "--profile": st.sampled_from(["quick", "full"]),
+    "--claim": st.sampled_from(all_claim_ids() + ("bogus",)),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    n = draw(st.integers(-3, 8))
+    argv = [command, "--max-n" if command == "verify" else "--n", str(n)]
+    for option in _OPTIONS[command]:
+        if draw(st.booleans()):
+            argv.append(option)
+            if option in _VALUES:
+                argv.append(draw(_VALUES[option]))
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.integers(0, 9)) == 0:  # now and then a stray token
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--k", "1", "--bogus"])))
+    return n, argv
+
+
+@settings(deadline=None)
+@given(command_lines())
+@example((0, ["order", "--n", "0"]))
+@example((-1, ["generators", "--n", "-1"]))
+def test_cli_returns_an_exit_code(case):
+    n, argv = case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if n < 1:
+        assert code == 2

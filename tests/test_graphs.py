@@ -228,7 +228,9 @@ class TestSetText:
         assert parse_set_text("{1,3}") == frozenset({1, 3})
         assert parse_set_text("{}") == frozenset()
 
-    @pytest.mark.parametrize("text", ["", "{1,3", "1,3}", "{3,1}", "{1,,3}", "{a}", "{1, 3}"])
+    @pytest.mark.parametrize(
+        "text", ["", "{1,3", "1,3}", "{3,1}", "{1,,3}", "{a}", "{1, 3}", "{٣}", "{1,²}"]
+    )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_set_text(text)
@@ -246,7 +248,9 @@ class TestGraphText:
     def test_vertex_only_graph(self):
         assert parse_graph_text("5\n") == SimpleGraph(5, frozenset())
 
-    @pytest.mark.parametrize("text", ["", "x", "3\n1", "3\n1 4", "3\n0 2", "3\n1 2 3"])
+    @pytest.mark.parametrize(
+        "text", ["", "x", "3\n1", "3\n1 4", "3\n0 2", "3\n1 2 3", "٣\n1 2\n", "3\n1 ٢\n"]
+    )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_graph_text(text)

@@ -165,7 +165,8 @@ class TestCycleText:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "(1)", "(1,2", "1,2)", "(1,,2)", "(1,2)x", "() (1,2)", "(1,2)()", "(0,1)"],
+        ["", "(1)", "(1,2", "1,2)", "(1,,2)", "(1,2)x", "() (1,2)", "(1,2)()", "(0,1)",
+         "(1,²)", "(1,٣)"],
     )
     def test_malformed_text_rejected(self, text):
         with pytest.raises(CycleParseError):
@@ -174,6 +175,11 @@ class TestCycleText:
     def test_out_of_range_point_with_position(self):
         with pytest.raises(CycleParseError) as exc:
             parse_cycles("(1,7)", 5)
+        assert exc.value.position == 3
+
+    def test_non_ascii_digit_with_position(self):
+        with pytest.raises(CycleParseError) as exc:
+            parse_cycles("(1,²)", 3)
         assert exc.value.position == 3
 
     def test_repeated_point_rejected(self):
