@@ -95,7 +95,7 @@ def _cmd_toggle(args: argparse.Namespace) -> int:
 
 def _cmd_generators(args: argparse.Namespace) -> int:
     _check_materializable(args.n)
-    members = prime_family(args.n) if args.prime else family(args.n).members
+    members = prime_family(args.n) if args.prime else family(args.n)
     lines = [format_cycles(t) for t in members]
     _emit(
         args,
@@ -126,9 +126,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
             f"degree {degree} exceeds the chain bound {FULL_CHAIN_DEGREE_CAP}"
         )
     if args.prime:
-        generators = list(prime_family(args.n))
+        generators = prime_family(args.n)
     else:
-        generators = list(family(args.n).members)  # family rejects n < 1
+        generators = family(args.n)  # family rejects n < 1
         if args.toggles:
             generators = [toggle_permutation(args.n, k) for k in range(1, args.n + 1)]
     order = build_chain(generators, degree).order()

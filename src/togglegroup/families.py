@@ -19,7 +19,6 @@ from .perms import DegreeMismatchError, Permutation
 
 __all__ = [
     "DiagonalSubgroupSpec",
-    "GeneratorFamily",
     "block_swap",
     "diagonal_embed",
     "family",
@@ -27,15 +26,6 @@ __all__ = [
     "prime_family",
     "toggle_permutation",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorFamily:
-    """The involutions generator(1, n) .. generator(n, n) with their degree."""
-
-    n: int
-    degree: int
-    members: tuple[Permutation, ...]
 
 
 # memo for generator(k, n); entries are immutable Permutations, so reads
@@ -85,15 +75,11 @@ def generator(k: int, n: int) -> Permutation:
     return t
 
 
-def family(n: int) -> GeneratorFamily:
-    """All n family members at size n, ascending k."""
+def family(n: int) -> tuple[Permutation, ...]:
+    """All n family members at size n, ascending k; each acts on 1..f(n+2)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return GeneratorFamily(
-        n=n,
-        degree=fib(n + 2),
-        members=tuple(generator(k, n) for k in range(1, n + 1)),
-    )
+    return tuple(generator(k, n) for k in range(1, n + 1))
 
 
 def prime_family(n: int) -> tuple[Permutation, ...]:

@@ -248,7 +248,8 @@ def parse_set_text(text: str) -> frozenset[int]:
         return frozenset()
     members = []
     for part in inner.split(","):
-        if not _is_decimal(part):
+        # no leading zeros: each set has exactly one text
+        if not _is_decimal(part) or (len(part) > 1 and part[0] == "0"):
             raise ValueError(f"bad vertex {part!r} in set text {text!r}")
         members.append(int(part))
     if any(a >= b for a, b in zip(members, members[1:])):

@@ -6,8 +6,11 @@ counterexample.  ``verify_all`` runs every applicable check up to a size
 bound under a resource profile; checks that would blow the profile's
 bounds come back ``skipped``, never silently passed.
 
-Several verifiers accept an override for the generator family so that test
-suites can inject faults and confirm the checks actually catch them.
+Verifiers take an override so that test suites can inject faults and
+confirm the checks actually catch them: ``members`` for the path checks,
+``generators`` for ``diagonal-generation``, which checks its inputs before
+it builds any chain, and ``chain`` for the two checks that read the family
+chain, e.g. ``chain=build_chain(faulty, degree)``.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def verify_intertwining(
     if n < 1:
         raise ValueError("n must be at least 1")
     if members is None:
-        members = family(n).members
+        members = family(n)
     count = fib(n + 2)
     for k in range(1, n + 1):
         t = members[k - 1]
@@ -166,35 +169,20 @@ def verify_intertwining(
     )
 
 
-def _family_chain(
-    n: int,
-    generators: Optional[Sequence[Permutation]],
-    chain: Optional[StabilizerChain],
-) -> StabilizerChain:
-    # the chain a caller passes in must be the chain of these generators
-    if chain is not None:
-        return chain
-    if generators is None:
-        generators = family(n).members
-    return build_chain(generators, fib(n + 2))
-
-
 def verify_symmetric_generation(
-    n: int,
-    generators: Optional[Sequence[Permutation]] = None,
-    *,
-    chain: Optional[StabilizerChain] = None,
+    n: int, *, chain: Optional[StabilizerChain] = None
 ) -> VerificationReport:
     """The family at size n generates all of S_f(n+2).
 
-    ``chain``, when given, is the already built stabilizer chain of the
-    generators (by default the family), and is used instead of a new one.
+    ``chain`` is the group's stabilizer chain; without one, the family
+    chain is built.
     """
     claim = "symmetric-generation"
     if n < 1:
         raise ValueError("n must be at least 1")
     degree = fib(n + 2)
-    chain = _family_chain(n, generators, chain)
+    if chain is None:
+        chain = build_chain(family(n), degree)
     if chain.is_full_symmetric():
         return _passed(claim, n, f"group order is {degree}! = {chain.order()}")
     counter: dict = {"order": str(chain.order()), "expected": str(math.factorial(degree))}
@@ -266,10 +254,7 @@ def verify_diagonal_generation(
 
 
 def verify_three_cycles(
-    n: int,
-    generators: Optional[Sequence[Permutation]] = None,
-    *,
-    chain: Optional[StabilizerChain] = None,
+    n: int, *, chain: Optional[StabilizerChain] = None
 ) -> VerificationReport:
     """The generated group contains every consecutive 3-cycle (i,i+1,i+2).
 
@@ -279,7 +264,9 @@ def verify_three_cycles(
     if n < 4:
         raise ValueError("n must be at least 4")
     degree = fib(n + 2)
-    missing = _family_chain(n, generators, chain).first_missing_three_cycle()
+    if chain is None:
+        chain = build_chain(family(n), degree)
+    missing = chain.first_missing_three_cycle()
     if missing is not None:
         return _failed(
             claim, n, "a consecutive 3-cycle is missing",
@@ -298,9 +285,9 @@ def verify_coxeter_relations(
         raise ValueError("n must be at least 1")
     # 0-based image tables, on which the table of p * q is p[q]
     if members is None:
-        tables = [np.array(toggle_permutation(n, k).images) - 1 for k in range(1, n + 1)]
+        tables = [np.array(toggle_permutation(n, k)._img) for k in range(1, n + 1)]
     else:
-        tables = [np.array(p.images) - 1 for p in members[:n]]
+        tables = [np.array(p._img) for p in members[:n]]
     ident = np.arange(fib(n + 2))
     for k in range(1, n + 1):
         p = tables[k - 1]
@@ -410,7 +397,7 @@ def verify_golden_cases() -> VerificationReport:
                 {"n": n, "expected": expected, "got": got},
             )
     for n, expected_members in _GOLDEN_FAMILIES.items():
-        got_members = tuple(format_cycles(t) for t in family(n).members)
+        got_members = tuple(format_cycles(t) for t in family(n))
         if got_members != expected_members:
             return _failed(
                 claim, None, f"family at n={n} is off",
@@ -519,7 +506,7 @@ def verify_all(
         if degree <= chain_cap and (
             wanted("symmetric-generation") or (n >= 4 and wanted("three-cycles"))
         ):
-            chain = build_chain(family(n).members, degree)
+            chain = build_chain(family(n), degree)
         run("symmetric-generation", chain_cap, "chain",
             lambda: verify_symmetric_generation(n, chain=chain))
         if n >= 3:

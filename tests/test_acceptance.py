@@ -66,13 +66,13 @@ class budget:
 
 def test_criterion_1_golden_values():
     with budget(1, "worked examples byte-exact", 1.0):
-        assert [format_cycles(t) for t in family(1).members] == ["(1,2)"]
-        assert [format_cycles(t) for t in family(2).members] == ["(1,2)", "(1,3)"]
-        assert [format_cycles(t) for t in family(3).members] == [
+        assert [format_cycles(t) for t in family(1)] == ["(1,2)"]
+        assert [format_cycles(t) for t in family(2)] == ["(1,2)", "(1,3)"]
+        assert [format_cycles(t) for t in family(3)] == [
             "(1,2)(4,5)", "(1,3)", "(1,4)(2,5)",
         ]
         assert [format_cycles(t) for t in prime_family(3)] == ["(1,2)(4,5)"]
-        assert [format_cycles(t) for t in family(4).members] == [
+        assert [format_cycles(t) for t in family(4)] == [
             "(1,2)(4,5)(6,7)", "(1,3)(6,8)", "(1,4)(2,5)", "(1,6)(2,7)(3,8)",
         ]
         assert [format_cycles(t) for t in prime_family(4)] == [
@@ -96,10 +96,10 @@ def test_criterion_2_full_symmetric_groups():
     with budget(2, "families generate full symmetric groups, n=1..8", 30.0):
         for n in range(1, 9):
             degree = fib(n + 2)
-            chain = build_chain(list(family(n).members), degree)
+            chain = build_chain(family(n), degree)
             assert chain.is_full_symmetric(), f"family at n={n} misses S_{degree}"
-        assert build_chain(list(family(3).members), 5).order() == 120
-        assert build_chain(list(family(4).members), 8).order() == 40320
+        assert build_chain(family(3), 5).order() == 120
+        assert build_chain(family(4), 8).order() == 40320
 
 
 def test_criterion_3_reduced_families_generate_diagonal():
@@ -180,7 +180,7 @@ def test_criterion_7_engine_against_brute_force():
             )
         # two full-size instances so the oracle sees closures near 8!
         instances.append((8, [parse_cycles("(1,2)", 8), parse_cycles("(1,2,3,4,5,6,7,8)", 8)]))
-        instances.append((8, list(family(4).members)))
+        instances.append((8, family(4)))
         for degree, generators in instances:
             closure = brute_force_closure(generators, cap=10**5)
             chain = build_chain(generators, degree)
@@ -210,7 +210,7 @@ def _entry_swaps(g: Permutation, degree: int):
 
 def test_criterion_8_negative_controls():
     with budget(8, "any single-entry fault in the n=3 family is caught", 5.0):
-        base = list(family(3).members)
+        base = family(3)
         perturbations = 0
         gen_check_failed_somewhere = False
         for i, original in enumerate(base):
@@ -220,7 +220,7 @@ def test_criterion_8_negative_controls():
                 members[i] = fault
                 reports = [
                     verify_intertwining(3, members=members),
-                    verify_symmetric_generation(3, generators=members),
+                    verify_symmetric_generation(3, chain=build_chain(members, 5)),
                 ]
                 failing = [r for r in reports if r.status == "fail"]
                 assert failing, f"fault {format_cycles(fault)} at k={i + 1} went unnoticed"

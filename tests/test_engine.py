@@ -50,7 +50,7 @@ class TestBuildChain:
         assert chain.base == (2,)
 
     def test_determinism(self):
-        generators = list(family(6).members)
+        generators = family(6)
         first = build_chain(generators, 21)
         second = build_chain(generators, 21)
         assert first.base == second.base
@@ -62,10 +62,10 @@ class TestBuildChain:
 
 class TestOrder:
     def test_family_3_generates_s5(self):
-        assert build_chain(list(family(3).members), 5).order() == 120
+        assert build_chain(family(3), 5).order() == 120
 
     def test_family_4_order_matches_brute_force(self):
-        generators = list(family(4).members)
+        generators = family(4)
         chain = build_chain(generators, 8)
         assert chain.order() == 40320
         assert chain.order() == len(brute_force_closure(generators))
@@ -106,7 +106,7 @@ class TestContains:
         assert not chain.contains(parse_cycles("(1,2)", 5))
 
     def test_three_cycle_in_family_4(self):
-        chain = build_chain(list(family(4).members), 8)
+        chain = build_chain(family(4), 8)
         assert chain.contains(parse_cycles("(1,2,3)", 8))
 
     def test_degree_mismatch(self):
@@ -156,7 +156,7 @@ class TestFullSymmetric:
         assert not build_chain(gens("(1,2)", degree=3), 3).is_full_symmetric()
 
     def test_family_4(self):
-        assert build_chain(list(family(4).members), 8).is_full_symmetric()
+        assert build_chain(family(4), 8).is_full_symmetric()
 
     def test_alternating_is_not(self):
         generators = gens("(1,2,3)", "(1,2,3,4,5)", degree=5)  # A_5, order 60
@@ -170,13 +170,13 @@ class TestFullSymmetric:
 
 class TestContainsAlternating:
     def test_family_4(self):
-        assert build_chain(list(family(4).members), 8).contains_alternating()
+        assert build_chain(family(4), 8).contains_alternating()
 
     def test_order_two_group_does_not(self):
         assert not build_chain(gens("(1,2)", degree=3), 3).contains_alternating()
 
     def test_family_3(self):
-        assert build_chain(list(family(3).members), 5).contains_alternating()
+        assert build_chain(family(3), 5).contains_alternating()
 
     def test_alternating_group_itself(self):
         generators = gens("(1,2,3)", "(1,2,3,4,5)", degree=5)
@@ -190,12 +190,12 @@ class TestContainsAlternating:
         chain = build_chain(gens("(1,2,3)", degree=6), 6)
         assert format_cycles(chain.first_missing_three_cycle()) == "(2,3,4)"
         assert not chain.contains_alternating()
-        assert build_chain(list(family(4).members), 8).first_missing_three_cycle() is None
+        assert build_chain(family(4), 8).first_missing_three_cycle() is None
 
 
 class TestLargeFamilies:
     def test_family_8_is_full_symmetric_on_55(self):
-        chain = build_chain(list(family(8).members), 55)
+        chain = build_chain(family(8), 55)
         chain.validate()
         assert chain.is_full_symmetric()
         assert chain.order() == math.factorial(55)
@@ -207,7 +207,7 @@ class TestLargeFamilies:
         assert chain.order() == math.factorial(21) * math.factorial(13)
 
     def test_validate_catches_a_corrupt_transversal(self):
-        chain = build_chain(list(family(5).members), 13)
+        chain = build_chain(family(5), 13)
         chain.validate()
         level, table = 1, chain._tinv[1]
         p = next(q for q in table if q != chain._base[level])
@@ -245,7 +245,7 @@ class TestPinnedChains:
     stores a chain shows here unless it rebuilds the very same chains."""
 
     def test_family_chains(self):
-        digest = _chain_digest((family(n).members, fib(n + 2)) for n in range(1, 11))
+        digest = _chain_digest((family(n), fib(n + 2)) for n in range(1, 11))
         assert digest == "e42cea74299f90a1ece8ace3babf817d623bd370673455b6be56e1c07c54d872"
 
     def test_reduced_family_chains(self):
@@ -254,5 +254,5 @@ class TestPinnedChains:
 
     def test_large_family_chains(self):
         # degrees 233 and 377, the largest full-symmetric chains
-        digest = _chain_digest((family(n).members, fib(n + 2)) for n in (11, 12))
+        digest = _chain_digest((family(n), fib(n + 2)) for n in (11, 12))
         assert digest == "06b210c34a16310e18c14db53e8529a7e4c59396af6048b21f7f96a56e0ab45e"

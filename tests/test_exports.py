@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and the package exports exactly its library modules' names."""
 
 import importlib
 import pkgutil
@@ -23,3 +24,13 @@ def test_star_import_binds_every_package_name():
     exec("from togglegroup import *", namespace)
     assert set(togglegroup.__all__) <= set(namespace)
 
+
+def test_package_names_are_the_library_modules_names():
+    # every module but the command line exports through the package, and
+    # its __all__ is the one list of its public names; sorted lists also
+    # tell a name exported twice
+    library = [m for m in SUBMODULES if m != "cli"]
+    names = [
+        name for m in library for name in importlib.import_module(f"togglegroup.{m}").__all__
+    ]
+    assert sorted(togglegroup.__all__) == sorted(names)

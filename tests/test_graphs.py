@@ -229,11 +229,18 @@ class TestSetText:
         assert parse_set_text("{}") == frozenset()
 
     @pytest.mark.parametrize(
-        "text", ["", "{1,3", "1,3}", "{3,1}", "{1,,3}", "{a}", "{1, 3}", "{٣}", "{1,²}"]
+        "text",
+        ["", "{1,3", "1,3}", "{3,1}", "{1,,3}", "{a}", "{1, 3}", "{٣}", "{1,²}", "{01}", "{1,007}"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_set_text(text)
+
+    def test_zero_messages(self):
+        with pytest.raises(ValueError, match="vertices are 1-based"):
+            parse_set_text("{0}")
+        with pytest.raises(ValueError, match="bad vertex '01'"):
+            parse_set_text("{01}")
 
 
 class TestGraphText:

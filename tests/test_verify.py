@@ -6,6 +6,7 @@ from togglegroup import (
     Permutation,
     VerificationReport,
     all_claim_ids,
+    build_chain,
     family,
     format_cycles,
     parse_cycles,
@@ -22,7 +23,7 @@ from togglegroup import (
 
 def perturbed_family_3():
     # swap the 3 in (1,3) for a 2: the group then fixes point 3 entirely
-    members = list(family(3).members)
+    members = list(family(3))
     members[1] = parse_cycles("(1,2)", 5)
     return members
 
@@ -63,7 +64,7 @@ class TestIntertwining:
         )
 
     def test_member_of_another_degree_fails_whole(self):
-        members = list(family(3).members)
+        members = list(family(3))
         members[0] = members[0].extend(6)
         report = verify_intertwining(3, members=members)
         assert report.counterexample == {
@@ -77,13 +78,15 @@ class TestSymmetricGeneration:
         assert verify_symmetric_generation(n).status == "pass"
 
     def test_injected_fault_fails(self):
-        report = verify_symmetric_generation(3, generators=perturbed_family_3())
+        report = verify_symmetric_generation(3, chain=build_chain(perturbed_family_3(), 5))
         assert report.status == "fail"
         # the perturbed set fixes point 3, so some adjacent swap is missing
         assert "missing" in report.counterexample
 
     def test_single_transposition_fails(self):
-        report = verify_symmetric_generation(3, generators=[parse_cycles("(1,2)", 5)])
+        report = verify_symmetric_generation(
+            3, chain=build_chain([parse_cycles("(1,2)", 5)], 5)
+        )
         assert report.status == "fail"
 
 
@@ -156,7 +159,7 @@ class TestThreeCycles:
         assert verify_three_cycles(n).status == "pass"
 
     def test_negative_control(self):
-        report = verify_three_cycles(4, generators=[parse_cycles("(1,2)", 8)])
+        report = verify_three_cycles(4, chain=build_chain([parse_cycles("(1,2)", 8)], 8))
         assert report.status == "fail"
         assert report.counterexample == {"cycle": "(1,2,3)"}
         assert report.text_line() == (
@@ -277,6 +280,6 @@ class TestVerifyAll:
         # at least one verifier must flip on an injected fault
         outcomes = [
             verify_intertwining(3, members=perturbed_family_3()).status,
-            verify_symmetric_generation(3, generators=perturbed_family_3()).status,
+            verify_symmetric_generation(3, chain=build_chain(perturbed_family_3(), 5)).status,
         ]
         assert "fail" in outcomes
