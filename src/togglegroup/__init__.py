@@ -2,8 +2,8 @@
 
 The library provides exact permutation arithmetic, a deterministic
 stabilizer-chain engine for orders and membership, independent sets of
-simple graphs with the toggle involution, the Fibonacci rank bijection for
-path graphs, the recursively defined generator families that mirror the
+the path with the toggle involution, the Fibonacci rank bijection for
+them, the recursively defined generator families that mirror the
 toggles under that bijection, and a verification harness that machine
 checks the whole picture at desk scale.
 

@@ -17,14 +17,7 @@ from typing import Optional, Sequence
 from .engine import build_chain
 from .families import block_swap, family, prime_family, toggle_permutation
 from .fibindex import FIB_CEILING, FibCeilingError, fib, rank, unrank
-from .graphs import (
-    IndependentSet,
-    PathGraph,
-    enumerate_independent_sets,
-    format_set_text,
-    parse_set_text,
-    toggle_path,
-)
+from .graphs import enumerate_independent_sets, format_set_text, parse_set_text, toggle_path
 from .perms import format_cycles
 # the CLI materializes permutations and enumerations, and builds chains,
 # up to the full verification profile's bounds
@@ -61,8 +54,8 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_materializable(args.n)
-    sets = enumerate_independent_sets(PathGraph(args.n))
-    rows = [(i + 1, str(s)) for i, s in enumerate(sets)]
+    sets = enumerate_independent_sets(args.n)
+    rows = [(i + 1, format_set_text(s)) for i, s in enumerate(sets)]
     _emit(
         args,
         [f"{idx} {text}" for idx, text in rows],
@@ -87,8 +80,7 @@ def _cmd_unindex(args: argparse.Namespace) -> int:
 
 def _cmd_toggle(args: argparse.Namespace) -> int:
     fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
-    independent = IndependentSet(PathGraph(args.n), parse_set_text(args.set))
-    text = str(toggle_path(args.n, args.k, independent))
+    text = format_set_text(toggle_path(args.n, args.k, parse_set_text(args.set)))
     _emit(args, [text], {"set": text})
     return EXIT_OK
 

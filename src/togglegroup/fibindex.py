@@ -62,8 +62,9 @@ def fib(n: int) -> int:
     return _table[n]
 
 
-def rank(n: int, members: Iterable[int]) -> int:
-    """The index in 1..f(n+2) of an independent set of the path on 1..n."""
+def _independent_set(n: int, members: Iterable[int]) -> frozenset[int]:
+    # the members as a frozenset, once checked to be an independent set of
+    # the path on 1..n; the one independence check, shared with toggle_path
     if n < 1:
         raise ValueError("n must be at least 1")
     s = frozenset(members)
@@ -72,7 +73,12 @@ def rank(n: int, members: Iterable[int]) -> int:
             raise ValueError(f"vertex {v} out of range for path on 1..{n}")
         if v + 1 in s:
             raise ValueError(f"set is not independent: {v} and {v + 1} are adjacent")
-    return 1 + sum(fib(v + 1) for v in s)
+    return s
+
+
+def rank(n: int, members: Iterable[int]) -> int:
+    """The index in 1..f(n+2) of an independent set of the path on 1..n."""
+    return 1 + sum(fib(v + 1) for v in _independent_set(n, members))
 
 
 def unrank(n: int, idx: int) -> frozenset[int]:

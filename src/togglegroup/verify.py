@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .families import (
     family,
     generator,
     prime_family,
-    toggle_permutation,
 )
 from .fibindex import fib, rank, rank_masks, unrank, unrank_masks
 from .graphs import format_set_text, toggle_path_masks
-from .perms import Permutation, format_cycles
+from .perms import DegreeMismatchError, Permutation, format_cycles
 
 __all__ = [
     "FULL_CHAIN_DEGREE_CAP",
@@ -118,13 +117,23 @@ def _skipped(claim_id: str, n: Optional[int], details: str) -> VerificationRepor
     return VerificationReport(claim_id, n, "skipped", details)
 
 
+def _toggle_tables(n: int) -> Iterator[np.ndarray]:
+    # the 1-based image table of each toggle on ranks, k = 1..n, straight
+    # from the bitmask tables and not through the validating Permutation
+    # constructor: a verifier reads a table only as far as its own check
+    # proves it a bijection (equality with a member, or squaring to the
+    # identity)
+    masks = unrank_masks(n)
+    return (rank_masks(toggle_path_masks(k, masks)) for k in range(1, n + 1))
+
+
 def verify_intertwining(
     n: int, members: Optional[Sequence[Permutation]] = None
 ) -> VerificationReport:
     """rank(toggle_k(I)) == member_k(rank(I)) for every k and every I.
 
     Exhaustive over all f(n+2) independent sets and all n toggles: for each
-    k the toggle-induced permutation is compared image by image with the
+    k the toggle's table of ranks is compared image by image with the
     member, and the first disagreement in k-then-rank order is the
     counterexample.  A member that agrees on every rank but still differs
     (it has another degree) fails as a whole permutation.
@@ -135,13 +144,10 @@ def verify_intertwining(
     if members is None:
         members = family(n)
     count = fib(n + 2)
-    for k in range(1, n + 1):
+    for k, table in enumerate(_toggle_tables(n), start=1):
         t = members[k - 1]
-        induced = toggle_permutation(n, k)
-        if induced == t:
-            continue
-        got = np.array(t.images[:count])
-        expected = np.array(induced.images[: len(got)])
+        got = np.array(t._img[:count]) + 1
+        expected = table[: len(got)]
         mismatches = np.flatnonzero(expected != got)
         if mismatches.size:
             i = int(mismatches[0])
@@ -157,16 +163,32 @@ def verify_intertwining(
                     "got": int(got[i]),
                 },
             )
-        return _failed(
-            claim,
-            n,
-            f"induced permutation differs from the family member at k={k}",
-            {"k": k, "induced": format_cycles(induced), "member": format_cycles(t)},
-        )
+        if t.degree != count:
+            return _failed(
+                claim,
+                n,
+                f"induced permutation differs from the family member at k={k}",
+                {
+                    "k": k,
+                    "induced": format_cycles(Permutation(table.tolist())),
+                    "member": format_cycles(t),
+                },
+            )
     return _passed(
         claim, n,
         f"checked {n * count} toggle/rank pairs; induced permutations equal the members",
     )
+
+
+def _family_chain(n: int, chain: Optional[StabilizerChain]) -> StabilizerChain:
+    # the chain a chain-reading verifier checks at size n: the family chain,
+    # or the caller's, which must act on 1..f(n+2)
+    degree = fib(n + 2)
+    if chain is None:
+        return build_chain(family(n), degree)
+    if chain.degree != degree:
+        raise DegreeMismatchError(f"chain of degree {chain.degree} does not act on 1..{degree}")
+    return chain
 
 
 def verify_symmetric_generation(
@@ -174,15 +196,14 @@ def verify_symmetric_generation(
 ) -> VerificationReport:
     """The family at size n generates all of S_f(n+2).
 
-    ``chain`` is the group's stabilizer chain; without one, the family
-    chain is built.
+    ``chain`` is the group's stabilizer chain, which must act on
+    1..f(n+2); without one, the family chain is built.
     """
     claim = "symmetric-generation"
     if n < 1:
         raise ValueError("n must be at least 1")
-    degree = fib(n + 2)
-    if chain is None:
-        chain = build_chain(family(n), degree)
+    chain = _family_chain(n, chain)
+    degree = chain.degree
     if chain.is_full_symmetric():
         return _passed(claim, n, f"group order is {degree}! = {chain.order()}")
     counter: dict = {"order": str(chain.order()), "expected": str(math.factorial(degree))}
@@ -263,16 +284,14 @@ def verify_three_cycles(
     claim = "three-cycles"
     if n < 4:
         raise ValueError("n must be at least 4")
-    degree = fib(n + 2)
-    if chain is None:
-        chain = build_chain(family(n), degree)
+    chain = _family_chain(n, chain)
     missing = chain.first_missing_three_cycle()
     if missing is not None:
         return _failed(
             claim, n, "a consecutive 3-cycle is missing",
             {"cycle": format_cycles(missing)},
         )
-    return _passed(claim, n, f"all {degree - 2} consecutive 3-cycles are members")
+    return _passed(claim, n, f"all {chain.degree - 2} consecutive 3-cycles are members")
 
 
 def verify_coxeter_relations(
@@ -285,7 +304,7 @@ def verify_coxeter_relations(
         raise ValueError("n must be at least 1")
     # 0-based image tables, on which the table of p * q is p[q]
     if members is None:
-        tables = [np.array(toggle_permutation(n, k)._img) for k in range(1, n + 1)]
+        tables = [table - 1 for table in _toggle_tables(n)]
     else:
         tables = [np.array(p._img) for p in members[:n]]
     ident = np.arange(fib(n + 2))

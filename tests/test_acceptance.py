@@ -22,7 +22,6 @@ from conftest import brute_force_closure, random_permutation
 
 from togglegroup import (
     DiagonalSubgroupSpec,
-    PathGraph,
     Permutation,
     block_swap,
     build_chain,
@@ -88,7 +87,7 @@ def test_criterion_1_golden_values():
             4: ["{}", "{1}", "{2}", "{3}", "{1,3}", "{4}", "{1,4}", "{2,4}"],
         }
         for n, expected in tables.items():
-            got = [format_set_text(s.members) for s in enumerate_independent_sets(PathGraph(n))]
+            got = [format_set_text(s) for s in enumerate_independent_sets(n)]
             assert got == expected
 
 
@@ -166,7 +165,7 @@ def test_criterion_6_counting_and_transitivity():
             report = verify_count_and_transitivity(n)
             assert report.passed, report.text_line()
         for n in range(16, 26):
-            assert len(enumerate_independent_sets(PathGraph(n))) == fib(n + 2)
+            assert len(enumerate_independent_sets(n)) == fib(n + 2)
 
 
 def test_criterion_7_engine_against_brute_force():

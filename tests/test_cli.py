@@ -87,6 +87,13 @@ class TestToggle:
         code, _, _ = run(capsys, "toggle", "--n", "2", "--k", "5", "--set", "{}")
         assert code == EXIT_USAGE
 
+    def test_set_is_checked_as_index_checks_it(self, capsys):
+        message = "error: vertex 5 out of range for path on 1..3\n"
+        assert run(capsys, "index", "--n", "3", "--set", "{5}") == (EXIT_USAGE, "", message)
+        assert run(capsys, "toggle", "--n", "3", "--k", "1", "--set", "{5}") == (
+            EXIT_USAGE, "", message
+        )
+
 
 class TestGenerators:
     def test_family_listing(self, capsys):

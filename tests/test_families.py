@@ -5,8 +5,6 @@ import pytest
 from togglegroup import (
     DegreeMismatchError,
     DiagonalSubgroupSpec,
-    IndependentSet,
-    PathGraph,
     Permutation,
     block_swap,
     diagonal_embed,
@@ -200,12 +198,11 @@ class TestTogglePermutation:
     def test_row_by_row_against_enumeration(self):
         # direct toggling of each enumerated set, no rank calls
         n, k = 4, 4
-        sets = enumerate_independent_sets(PathGraph(n))
+        sets = enumerate_independent_sets(n)
         perm = toggle_permutation(n, k)
-        position = {s.members: i + 1 for i, s in enumerate(sets)}
+        position = {s: i + 1 for i, s in enumerate(sets)}
         for i, s in enumerate(sets):
-            toggled = toggle_path(n, k, s)
-            assert perm.apply(i + 1) == position[toggled.members]
+            assert perm.apply(i + 1) == position[toggle_path(n, k, s)]
 
     def test_matches_recursive_members_up_to_20(self):
         for n in range(1, 21):
@@ -259,18 +256,15 @@ class TestIntertwiningIdentity:
     def test_rank_after_toggle_equals_member_after_rank(self):
         for n in range(1, 9):
             fam = family(n)
-            for s in enumerate_independent_sets(PathGraph(n)):
-                idx = rank(n, s.members)
+            for s in enumerate_independent_sets(n):
+                idx = rank(n, s)
                 for k in range(1, n + 1):
-                    toggled = toggle_path(n, k, s)
-                    assert rank(n, toggled.members) == fam[k - 1].apply(idx)
+                    assert rank(n, toggle_path(n, k, s)) == fam[k - 1].apply(idx)
 
     def test_example_traces(self):
         # n=1: the lone toggle swaps the two sets
-        e = IndependentSet(PathGraph(1), frozenset())
-        assert rank(1, toggle_path(1, 1, e).members) == 2 == generator(1, 1).apply(1)
-        v = IndependentSet(PathGraph(1), frozenset({1}))
-        assert rank(1, toggle_path(1, 1, v).members) == 1 == generator(1, 1).apply(2)
+        assert rank(1, toggle_path(1, 1, frozenset())) == 2 == generator(1, 1).apply(1)
+        assert rank(1, toggle_path(1, 1, frozenset({1}))) == 1 == generator(1, 1).apply(2)
         # n=2, k=2: swaps ranks 1 and 3, fixes 2
         table = [
             (frozenset(), 3),
@@ -278,6 +272,5 @@ class TestIntertwiningIdentity:
             (frozenset({2}), 1),
         ]
         for members, expected in table:
-            s = IndependentSet(PathGraph(2), members)
-            assert rank(2, toggle_path(2, 2, s).members) == expected
+            assert rank(2, toggle_path(2, 2, members)) == expected
             assert generator(2, 2).apply(rank(2, members)) == expected

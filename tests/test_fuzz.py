@@ -1,4 +1,4 @@
-"""Fuzzing the three text parsers and the command line.
+"""Fuzzing the two text parsers and the command line.
 
 Each parser may only reject input with its documented error, and what it
 accepts is written in ASCII digits and its own punctuation; the set parser
@@ -16,7 +16,6 @@ from togglegroup import (
     all_claim_ids,
     format_set_text,
     parse_cycles,
-    parse_graph_text,
     parse_set_text,
 )
 from togglegroup.cli import main
@@ -51,16 +50,6 @@ def test_parse_set_text_raises_only_value_error(text):
         return
     # only the canonical text of a set is accepted
     assert text == format_set_text(members)
-
-
-@given(texts("0123456789 \n"))
-@example("٣\n1 2\n")
-def test_parse_graph_text_raises_only_value_error(text):
-    try:
-        parse_graph_text(text)
-    except ValueError:
-        return
-    assert set(text) <= set("0123456789 \t\n")
 
 
 # the options each subcommand takes besides --n (--max-n for verify)

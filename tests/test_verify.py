@@ -3,6 +3,7 @@ import json
 import pytest
 
 from togglegroup import (
+    DegreeMismatchError,
     Permutation,
     VerificationReport,
     all_claim_ids,
@@ -82,6 +83,11 @@ class TestSymmetricGeneration:
         assert report.status == "fail"
         # the perturbed set fixes point 3, so some adjacent swap is missing
         assert "missing" in report.counterexample
+
+    def test_chain_of_another_degree_is_rejected(self):
+        # the n = 3 family chain acts on 1..5, not on the 8 sets of n = 4
+        with pytest.raises(DegreeMismatchError, match="chain of degree 5 does not act on 1..8"):
+            verify_symmetric_generation(4, chain=build_chain(family(3), 5))
 
     def test_single_transposition_fails(self):
         report = verify_symmetric_generation(
@@ -166,6 +172,10 @@ class TestThreeCycles:
             "   FAIL three-cycles n=4: a consecutive 3-cycle is missing"
             " [counterexample: cycle=(1,2,3)]"
         )
+
+    def test_chain_of_another_degree_is_rejected(self):
+        with pytest.raises(DegreeMismatchError, match="chain of degree 8 does not act on 1..13"):
+            verify_three_cycles(5, chain=build_chain(family(4), 8))
 
     def test_needs_n_four(self):
         with pytest.raises(ValueError):
