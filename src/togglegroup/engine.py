@@ -13,6 +13,14 @@ counting: it sifts a product-replacement stream drawn from a fixed-seed
 generator, so it is random in form only, and a fixed generator order
 always rebuilds the identical chain.
 
+The paper's claim that the family generates all of S_degree needs no
+chain at all: :func:`jordan_certificate` proves that generators contain
+A_degree from their transitivity and one product with a long prime
+cycle, in O(degree) memory, where the degree-377 chain's transversals
+take about 215 MB.  It can only ever prove a group large, so callers keep
+the chain as the fallback for everything it leaves open: orders,
+membership, and every proper subgroup.
+
 Internally image tables are numpy arrays (composition is fancy indexing,
 which is what the construction spends its time on); the public surface
 speaks :class:`~togglegroup.perms.Permutation` values only.  Each
@@ -34,13 +42,20 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .perms import DegreeMismatchError, Permutation
 
-__all__ = ["StabilizerChain", "build_chain", "orbit"]
+__all__ = [
+    "JordanCertificate",
+    "StabilizerChain",
+    "build_chain",
+    "jordan_certificate",
+    "orbit",
+]
 
 # worklist entries encode a (orbit point, generator index) pair as
 # point * _STRIDE + index; generator counts stay far below the stride
@@ -48,6 +63,17 @@ _STRIDE = 1_000_000
 
 # the boost phase gives up after this many consecutive fruitless products
 _BOOST_STALL_LIMIT = 64
+
+# the Jordan walk's seed, and the most generators it multiplies in; the
+# family's walks end after 21-134 steps for n = 4..12
+_JORDAN_SEED = 0x5EED
+_JORDAN_STEP_LIMIT = 1000
+
+
+def _check_degrees(generators: Sequence[Permutation], degree: int) -> None:
+    for g in generators:
+        if g.degree != degree:
+            raise DegreeMismatchError(f"generator of degree {g.degree} does not act on 1..{degree}")
 
 
 def _invert(a: np.ndarray) -> np.ndarray:
@@ -79,13 +105,11 @@ class StabilizerChain:
     # -- construction ------------------------------------------------------
 
     def _build(self, generators: Iterable[Permutation]) -> None:
+        generators = list(generators)
+        _check_degrees(generators, self.degree)
         raws: list[np.ndarray] = []
         seen: set[bytes] = set()
         for g in generators:
-            if g.degree != self.degree:
-                raise DegreeMismatchError(
-                    f"generator of degree {g.degree} does not act on 1..{self.degree}"
-                )
             r = np.array(g._img, dtype=np.intp)
             key = r.tobytes()
             if key != self._ident_bytes and key not in seen:
@@ -425,3 +449,68 @@ def orbit(generators: Sequence[Permutation], point: int) -> frozenset[int]:
                 seen.add(x)
                 queue.append(x)
     return frozenset(p + 1 for p in seen)
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@dataclass(frozen=True)
+class JordanCertificate:
+    """A chain-free proof that a transitive group on 1..m contains A_m.
+
+    ``word`` lists 1-based generator indices, and its product
+    ``generators[word[0]-1] * generators[word[1]-1] * ...`` has a cycle of
+    the prime length ``p``, m/2 < p <= m-3.  ``odd_generator`` is the
+    1-based index of the first odd generator, which makes the group all of
+    S_m, or None when every generator is even.
+    """
+
+    p: int
+    word: tuple[int, ...]
+    odd_generator: Optional[int]
+
+
+def jordan_certificate(
+    generators: Sequence[Permutation], degree: int
+) -> Optional[JordanCertificate]:
+    """Certify that the generators span A_degree or S_degree, or None.
+
+    A transitive group G of degree m that contains a p-cycle with p prime
+    and m/2 < p <= m-3 is primitive: a block system with blocks of size
+    1 < b < m has fewer than p blocks, so the p-cycle fixes each block and
+    its support lies in one of them, but b <= m/2 < p.  By Jordan's
+    theorem (Wielandt, *Finite Permutation Groups*, Thm 13.9) G then
+    contains A_m.
+
+    Transitivity is the orbit of point 1.  For the p-cycle, a fixed-seed
+    walk multiplies in one generator at a time, at most
+    ``_JORDAN_STEP_LIMIT`` of them, and stops at the first product with a
+    cycle of prime length p in that range.  Every other cycle of the
+    product is shorter than m - p < p, so prime to p, and the product's
+    power to the lcm of the other lengths is a p-cycle of G.
+
+    None means only that nothing was certified: the generators are not
+    transitive, no prime lies in the range (as at degrees 2, 3 and 5), or
+    the walk found no such product.  The walk is deterministic, so the
+    same generators always give the same certificate.
+    """
+    gens = list(generators)
+    _check_degrees(gens, degree)
+    if not any(_is_prime(p) for p in range(degree // 2 + 1, degree - 2)):
+        return None
+    if len(orbit(gens, 1)) != degree:
+        return None
+    rng = random.Random(_JORDAN_SEED)
+    product = Permutation.identity(degree)
+    word = []
+    for _ in range(_JORDAN_STEP_LIMIT):
+        i = rng.randrange(len(gens))
+        product = product * gens[i]
+        word.append(i + 1)
+        # a cycle longer than m/2 is the longest, and there is one at most
+        p = max(map(len, product.cycles()), default=0)
+        if 2 * p > degree and p <= degree - 3 and _is_prime(p):
+            odd = next((k + 1 for k, g in enumerate(gens) if g.parity() < 0), None)
+            return JordanCertificate(p, tuple(word), odd)
+    return None

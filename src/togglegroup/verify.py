@@ -9,8 +9,8 @@ bounds come back ``skipped``, never silently passed.
 Verifiers take an override so that test suites can inject faults and
 confirm the checks actually catch them: ``members`` for the path checks,
 ``generators`` for ``diagonal-generation``, which checks its inputs before
-it builds any chain, and ``chain`` for the two checks that read the family
-chain, e.g. ``chain=build_chain(faulty, degree)``.
+it builds any chain, and ``chain=build_chain(faulty, degree)`` for the two
+checks that otherwise pass on the family's Jordan certificate or chain.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .engine import StabilizerChain, build_chain
+from .engine import StabilizerChain, build_chain, jordan_certificate
 from .families import (
     DiagonalSubgroupSpec,
     block_swap,
@@ -113,10 +113,6 @@ def _failed(claim_id: str, n: Optional[int], details: str, counterexample: dict)
     return VerificationReport(claim_id, n, "fail", details, counterexample)
 
 
-def _skipped(claim_id: str, n: Optional[int], details: str) -> VerificationReport:
-    return VerificationReport(claim_id, n, "skipped", details)
-
-
 def _toggle_tables(n: int) -> Iterator[np.ndarray]:
     # the 1-based image table of each toggle on ranks, k = 1..n, straight
     # from the bitmask tables and not through the validating Permutation
@@ -125,6 +121,15 @@ def _toggle_tables(n: int) -> Iterator[np.ndarray]:
     # identity)
     masks = unrank_masks(n)
     return (rank_masks(toggle_path_masks(k, masks)) for k in range(1, n + 1))
+
+
+def _members(n: int, members: Optional[Sequence[Permutation]]) -> Sequence[Permutation]:
+    # the family at size n, or a members= override that stands for it
+    if members is None:
+        return family(n)
+    if len(members) != n:
+        raise ValueError(f"members has {len(members)} permutations, not n = {n}")
+    return members
 
 
 def verify_intertwining(
@@ -141,8 +146,7 @@ def verify_intertwining(
     claim = "intertwining"
     if n < 1:
         raise ValueError("n must be at least 1")
-    if members is None:
-        members = family(n)
+    members = _members(n, members)
     count = fib(n + 2)
     for k, table in enumerate(_toggle_tables(n), start=1):
         t = members[k - 1]
@@ -180,11 +184,16 @@ def verify_intertwining(
     )
 
 
-def _family_chain(n: int, chain: Optional[StabilizerChain]) -> StabilizerChain:
-    # the chain a chain-reading verifier checks at size n: the family chain,
-    # or the caller's, which must act on 1..f(n+2)
+def _family_chain(
+    n: int, chain: Optional[StabilizerChain], symmetric: bool
+) -> Optional[StabilizerChain]:
+    # the chain to read at size n: None when the family's Jordan certificate
+    # proves A_f(n+2) (and has an odd generator, for S_f(n+2), if symmetric)
     degree = fib(n + 2)
     if chain is None:
+        certificate = jordan_certificate(family(n), degree)
+        if certificate is not None and (certificate.odd_generator or not symmetric):
+            return None
         return build_chain(family(n), degree)
     if chain.degree != degree:
         raise DegreeMismatchError(f"chain of degree {chain.degree} does not act on 1..{degree}")
@@ -196,16 +205,16 @@ def verify_symmetric_generation(
 ) -> VerificationReport:
     """The family at size n generates all of S_f(n+2).
 
-    ``chain`` is the group's stabilizer chain, which must act on
-    1..f(n+2); without one, the family chain is built.
+    It passes on a Jordan certificate with an odd generator, else reads the
+    family chain, or the passed ``chain``, which must act on 1..f(n+2).
     """
     claim = "symmetric-generation"
     if n < 1:
         raise ValueError("n must be at least 1")
-    chain = _family_chain(n, chain)
-    degree = chain.degree
-    if chain.is_full_symmetric():
-        return _passed(claim, n, f"group order is {degree}! = {chain.order()}")
+    degree = fib(n + 2)
+    chain = _family_chain(n, chain, symmetric=True)
+    if chain is None or chain.is_full_symmetric():
+        return _passed(claim, n, f"group order is {degree}! = {math.factorial(degree)}")
     counter: dict = {"order": str(chain.order()), "expected": str(math.factorial(degree))}
     for i in range(1, degree):
         swap = Permutation.from_cycles([(i, i + 1)], degree)
@@ -279,19 +288,20 @@ def verify_three_cycles(
 ) -> VerificationReport:
     """The generated group contains every consecutive 3-cycle (i,i+1,i+2).
 
+    Any Jordan certificate passes it, as A_f(n+2) holds every 3-cycle.
     ``chain`` is as for :func:`verify_symmetric_generation`.
     """
     claim = "three-cycles"
     if n < 4:
         raise ValueError("n must be at least 4")
-    chain = _family_chain(n, chain)
-    missing = chain.first_missing_three_cycle()
+    chain = _family_chain(n, chain, symmetric=False)
+    missing = None if chain is None else chain.first_missing_three_cycle()
     if missing is not None:
         return _failed(
             claim, n, "a consecutive 3-cycle is missing",
             {"cycle": format_cycles(missing)},
         )
-    return _passed(claim, n, f"all {chain.degree - 2} consecutive 3-cycles are members")
+    return _passed(claim, n, f"all {fib(n + 2) - 2} consecutive 3-cycles are members")
 
 
 def verify_coxeter_relations(
@@ -306,7 +316,7 @@ def verify_coxeter_relations(
     if members is None:
         tables = [table - 1 for table in _toggle_tables(n)]
     else:
-        tables = [np.array(p._img) for p in members[:n]]
+        tables = [np.array(p._img) for p in _members(n, members)]
     ident = np.arange(fib(n + 2))
     for k in range(1, n + 1):
         p = tables[k - 1]
@@ -363,8 +373,7 @@ def verify_count_and_transitivity(n: int) -> VerificationReport:
     return _passed(claim, n, f"{expected} sets, all reachable from the empty set")
 
 
-_GOLDEN_BLOCK_SWAPS = {1: "(1,2)", 2: "(1,3)", 3: "(1,4)(2,5)", 4: "(1,6)(2,7)(3,8)"}
-
+# the last member of each family is the block swap
 _GOLDEN_FAMILIES = {
     1: ("(1,2)",),
     2: ("(1,2)", "(1,3)"),
@@ -408,27 +417,24 @@ def _mask_text(mask: int) -> str:
 def verify_golden_cases() -> VerificationReport:
     """The hand-computable small cases, byte-exact in canonical text."""
     claim = "golden-cases"
-    for n, expected in _GOLDEN_BLOCK_SWAPS.items():
-        got = format_cycles(block_swap(n))
+    for n, members in _GOLDEN_FAMILIES.items():
+        expected, got = members[-1], format_cycles(block_swap(n))
         if got != expected:
             return _failed(
                 claim, None, f"block swap at n={n} is off",
                 {"n": n, "expected": expected, "got": got},
             )
-    for n, expected_members in _GOLDEN_FAMILIES.items():
-        got_members = tuple(format_cycles(t) for t in family(n))
-        if got_members != expected_members:
-            return _failed(
-                claim, None, f"family at n={n} is off",
-                {"n": n, "expected": list(expected_members), "got": list(got_members)},
-            )
-    for n, expected_members in _GOLDEN_PRIME_FAMILIES.items():
-        got_members = tuple(format_cycles(t) for t in prime_family(n))
-        if got_members != expected_members:
-            return _failed(
-                claim, None, f"reduced family at n={n} is off",
-                {"n": n, "expected": list(expected_members), "got": list(got_members)},
-            )
+    for what, build, goldens in (
+        ("family", family, _GOLDEN_FAMILIES),
+        ("reduced family", prime_family, _GOLDEN_PRIME_FAMILIES),
+    ):
+        for n, expected_members in goldens.items():
+            got_members = tuple(format_cycles(t) for t in build(n))
+            if got_members != expected_members:
+                return _failed(
+                    claim, None, f"{what} at n={n} is off",
+                    {"n": n, "expected": list(expected_members), "got": list(got_members)},
+                )
     for n, table in _GOLDEN_INDEX_TABLES.items():
         got_table = tuple(
             (_mask_text(mask), i + 1) for i, mask in enumerate(unrank_masks(n).tolist())
@@ -507,8 +513,8 @@ def verify_all(
         # lambda runs, so a module name rebound after import (by a tracer,
         # say) is the one called
         if wanted(claim_id):
-            reports.append(verify() if degree <= cap else _skipped(
-                claim_id, n, f"degree {degree} exceeds the {profile} {bound} bound {cap}"
+            reports.append(verify() if degree <= cap else VerificationReport(
+                claim_id, n, "skipped", f"degree {degree} exceeds the {profile} {bound} bound {cap}"
             ))
 
     reports: list[VerificationReport] = []
@@ -520,17 +526,10 @@ def verify_all(
         run("coxeter-relations", enum_cap, "enumeration", lambda: verify_coxeter_relations(n))
         run("count-transitivity", enum_cap, "enumeration",
             lambda: verify_count_and_transitivity(n))
-        # symmetric-generation and three-cycles read the same family chain
-        chain = None
-        if degree <= chain_cap and (
-            wanted("symmetric-generation") or (n >= 4 and wanted("three-cycles"))
-        ):
-            chain = build_chain(family(n), degree)
-        run("symmetric-generation", chain_cap, "chain",
-            lambda: verify_symmetric_generation(n, chain=chain))
+        run("symmetric-generation", chain_cap, "chain", lambda: verify_symmetric_generation(n))
         if n >= 3:
             run("diagonal-generation", chain_cap, "chain", lambda: verify_diagonal_generation(n))
         if n >= 4:
-            run("three-cycles", chain_cap, "chain", lambda: verify_three_cycles(n, chain=chain))
+            run("three-cycles", chain_cap, "chain", lambda: verify_three_cycles(n))
     reports.sort(key=lambda r: (r.claim_id, r.n if r.n is not None else 0))
     return reports

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,6 +149,24 @@ class TestOrder:
     def test_prime_and_toggles_exclusive(self, capsys):
         code, _, _ = run(capsys, "order", "--n", "4", "--prime", "--toggles")
         assert code == EXIT_USAGE
+
+    def test_family_order_reads_the_certificate(self, capsys, monkeypatch):
+        # the Jordan certificate proves S_377 with no chain; the reduced
+        # family is not transitive, so its order still comes from the chain
+        from togglegroup import cli
+
+        built = []
+        real_build = cli.build_chain
+
+        def counting_build(generators, degree):
+            built.append(degree)
+            return real_build(generators, degree)
+
+        monkeypatch.setattr(cli, "build_chain", counting_build)
+        assert run(capsys, "order", "--n", "12") == (EXIT_OK, f"{math.factorial(377)}\n", "")
+        assert built == []
+        assert run(capsys, "order", "--n", "4", "--prime") == (EXIT_OK, "12\n", "")
+        assert built == [8]
 
 
 class TestVerify:

@@ -11,6 +11,7 @@ from togglegroup import (
     build_chain,
     fib,
     format_cycles,
+    jordan_certificate,
     orbit,
     parse_cycles,
 )
@@ -256,3 +257,99 @@ class TestPinnedChains:
         # degrees 233 and 377, the largest full-symmetric chains
         digest = _chain_digest((family(n), fib(n + 2)) for n in (11, 12))
         assert digest == "06b210c34a16310e18c14db53e8529a7e4c59396af6048b21f7f96a56e0ab45e"
+
+
+def _power(g, e):
+    result = Permutation.identity(g.degree)
+    while e:
+        if e & 1:
+            result = result * g
+        g = g * g
+        e >>= 1
+    return result
+
+
+def _recheck(certificate, generators, degree):
+    """Re-derive a certificate's claims from its record alone."""
+    p = certificate.p
+    assert p >= 2 and all(p % d for d in range(2, p))
+    assert degree < 2 * p and p <= degree - 3
+    assert orbit(generators, 1) == frozenset(range(1, degree + 1))
+    product = Permutation.identity(degree)
+    for i in certificate.word:
+        product = product * generators[i - 1]
+    others = [len(c) for c in product.cycles() if len(c) != p]
+    assert [len(c) for c in _power(product, math.lcm(*others)).cycles()] == [p]
+    parities = [g.parity() for g in generators]
+    if certificate.odd_generator is None:
+        assert -1 not in parities
+    else:
+        assert parities.index(-1) + 1 == certificate.odd_generator
+
+
+def _reflected_cycle(degree):
+    # the dihedral group: an m-cycle and the reflection x -> -x, which keeps
+    # the residue classes mod every divisor of m as blocks
+    cycle = Permutation([i % degree + 1 for i in range(1, degree + 1)])
+    reflection = Permutation([(-i) % degree + 1 for i in range(degree)])
+    return [cycle, reflection]
+
+
+def _wreath_7_by_3():
+    # S_7 wr S_3 on 21 points, the blocks {1..7}, {8..14}, {15..21}
+    within = gens("(1,2)", "(1,2,3,4,5,6,7)", degree=21)
+    across = [
+        Permutation.from_cycles([(i, i + 7) for i in range(1, 8)], 21),
+        Permutation.from_cycles([(i, i + 7, i + 14) for i in range(1, 8)], 21),
+    ]
+    return within + across
+
+
+class TestJordanCertificate:
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_family_is_certified_and_rechecked(self, n):
+        generators, degree = family(n), fib(n + 2)
+        certificate = jordan_certificate(generators, degree)
+        assert certificate is not None and certificate.odd_generator is not None
+        _recheck(certificate, generators, degree)
+
+    def test_deterministic(self):
+        assert jordan_certificate(family(8), 55) == jordan_certificate(family(8), 55)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_block_preserving_families_are_not_certified(self, n):
+        # the reduced family keeps its three blocks; without the block swap
+        # the family keeps the low and the top blocks apart
+        assert jordan_certificate(prime_family(n), fib(n + 2)) is None
+        assert jordan_certificate(family(n)[:-1], fib(n + 2)) is None
+
+    @pytest.mark.parametrize(
+        "generators, degree",
+        [(_reflected_cycle(21), 21), (_reflected_cycle(55), 55), (_wreath_7_by_3(), 21)],
+        ids=["dihedral-21", "dihedral-55", "wreath-7-by-3"],
+    )
+    def test_transitive_imprimitive_groups_are_not_certified(self, generators, degree):
+        assert orbit(generators, 1) == frozenset(range(1, degree + 1))
+        assert jordan_certificate(generators, degree) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_prime_in_range_at_degrees_2_3_5(self, n):
+        assert jordan_certificate(family(n), fib(n + 2)) is None
+
+    def test_s5_is_not_certified(self):
+        assert jordan_certificate(gens("(1,2)", "(1,2,3,4,5)", degree=5), 5) is None
+
+    def test_even_generators_give_no_odd_generator(self):
+        # (1,2,3) and a 13-cycle generate A_13
+        generators = [
+            parse_cycles("(1,2,3)", 13),
+            Permutation.from_cycles([tuple(range(1, 14))], 13),
+        ]
+        certificate = jordan_certificate(generators, 13)
+        assert certificate is not None and certificate.odd_generator is None
+        _recheck(certificate, generators, 13)
+        assert build_chain(generators, 13).order() == math.factorial(13) // 2
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(DegreeMismatchError):
+            jordan_certificate(family(4), 13)

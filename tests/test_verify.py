@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from togglegroup import (
     VerificationReport,
     all_claim_ids,
     build_chain,
+    fib,
     family,
     format_cycles,
     parse_cycles,
@@ -20,6 +22,27 @@ from togglegroup import (
     verify_symmetric_generation,
     verify_three_cycles,
 )
+
+
+@pytest.fixture
+def chain_degrees(monkeypatch):
+    """The degree of every chain verify builds while the test runs."""
+    from togglegroup import verify
+
+    degrees = []
+    real_build = verify.build_chain
+
+    def counting_build(generators, degree):
+        degrees.append(degree)
+        return real_build(generators, degree)
+
+    monkeypatch.setattr(verify, "build_chain", counting_build)
+    return degrees
+
+
+def alternating_13():
+    # (1,2,3) and a 13-cycle generate A_13, and neither is odd
+    return (parse_cycles("(1,2,3)", 13), Permutation.from_cycles([tuple(range(1, 14))], 13))
 
 
 def perturbed_family_3():
@@ -72,6 +95,11 @@ class TestIntertwining:
             "k": 1, "induced": "(1,2)(4,5)", "member": "(1,2)(4,5)"
         }
 
+    @pytest.mark.parametrize("members", [family(3)[:2], family(3) + family(3)])
+    def test_override_of_another_length_is_rejected(self, members):
+        with pytest.raises(ValueError, match=f"members has {len(members)} permutations, not n = 3"):
+            verify_intertwining(3, members=members)
+
 
 class TestSymmetricGeneration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -94,6 +122,37 @@ class TestSymmetricGeneration:
             3, chain=build_chain([parse_cycles("(1,2)", 5)], 5)
         )
         assert report.status == "fail"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_certificate_and_chain_give_the_same_reports(self, n, chain_degrees):
+        chain = build_chain(family(n), fib(n + 2))
+        by_chain = [verify_symmetric_generation(n, chain=chain)]
+        if n >= 4:
+            by_chain.append(verify_three_cycles(n, chain=chain))
+        by_certificate = [verify_symmetric_generation(n)]
+        if n >= 4:
+            by_certificate.append(verify_three_cycles(n))
+        assert by_certificate == by_chain
+        # from n = 4 on, the certificate decides both claims
+        assert chain_degrees == ([] if n >= 4 else [fib(n + 2)])
+
+    def test_even_generators_fail_through_the_chain(self, monkeypatch, chain_degrees):
+        # the certificate proves A_13 but has no odd generator, so the chain
+        # decides symmetric-generation; three-cycles passes on A_13
+        from togglegroup import verify
+
+        monkeypatch.setattr(verify, "family", lambda n: alternating_13())
+        report = verify_symmetric_generation(5)
+        assert chain_degrees == [13]
+        assert report.status == "fail"
+        assert report.counterexample == {
+            "order": str(math.factorial(13) // 2),
+            "expected": str(math.factorial(13)),
+            "missing": "(1,2)",
+        }
+        assert verify_three_cycles(5).text_line() == (
+            "   PASS three-cycles n=5: all 11 consecutive 3-cycles are members"
+        )
 
 
 class TestDiagonalGeneration:
@@ -193,6 +252,11 @@ class TestCoxeterRelations:
         assert report.status == "fail"
         assert report.counterexample == {"k": 1}
 
+    @pytest.mark.parametrize("members", [family(3)[:2], family(3) + family(3)])
+    def test_override_of_another_length_is_rejected(self, members):
+        with pytest.raises(ValueError, match=f"members has {len(members)} permutations, not n = 3"):
+            verify_coxeter_relations(3, members=members)
+
 
 class TestCountAndTransitivity:
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 3), (4, 8), (20, 17711)])
@@ -268,22 +332,19 @@ class TestVerifyAll:
             (r.claim_id, r.n, r.status, r.details) for r in second
         ]
 
-    def test_family_chain_is_built_once_per_n(self, monkeypatch):
-        from togglegroup import fib, verify
-
+    def test_family_chains_only_below_the_jordan_range(self, chain_degrees):
+        # the Jordan certificate decides both chain claims from n = 4
+        # (degree 8) on; the chain route, one chain per n, gives the same
+        # reports at every n up to 12
         claims = ["symmetric-generation", "three-cycles"]
-        expected = [verify_symmetric_generation(n) for n in range(1, 10)]
-        expected += [verify_three_cycles(n) for n in range(4, 10)]
-        degrees = []
-        real_build = verify.build_chain
-
-        def counting_build(generators, degree):
-            degrees.append(degree)
-            return real_build(generators, degree)
-
-        monkeypatch.setattr(verify, "build_chain", counting_build)
-        reports = verify_all(9, "full", claims)
-        assert degrees == [fib(n + 2) for n in range(1, 10)]
+        expected = []
+        for n in range(1, 13):
+            chain = build_chain(family(n), fib(n + 2))
+            expected.append(verify_symmetric_generation(n, chain=chain))
+            if n >= 4:
+                expected.append(verify_three_cycles(n, chain=chain))
+        reports = verify_all(12, "full", claims)
+        assert chain_degrees == [2, 3, 5]
         assert reports == sorted(expected, key=lambda r: (r.claim_id, r.n))
 
     def test_engineered_failure_is_caught(self):
