@@ -1,17 +1,25 @@
 """The Fibonacci-indexed involution families and the toggle bridge.
 
-``block_swap(n)`` exchanges {1..f(n)} with {f(n+1)+1..f(n+2)} pointwise.
-``generator(k, n)`` is defined by recursion on n: the last two members are
-the block swap and the previous family's last member, and earlier members
-combine their two predecessors on disjoint blocks.  ``toggle_permutation``
-builds the same permutations a second way, by conjugating the vertex
-toggles through the rank bijection; the two constructions agreeing is the
-heart of the verified results.
+``generator(k, n)`` is the paper's t_k at size n, an involution of
+1..f(n+2), defined by recursion on n.  At size k it is the block swap,
+which exchanges {1..f(k)} with {f(k+1)+1..f(k+2)} pointwise, and at size
+k-1 it is taken to be the identity.  At each larger size m it is t_k at
+m-1 times t_k at m-2 conjugated into the top block.  The two factors move
+disjoint blocks, so the product is a concatenation of image tables: the
+table at m-1, then the table at m-2 shifted by f(m+1).  Every member, and
+``block_swap(n)`` as the member with k = n, is built afresh from that one
+recursion on arrays; nothing is kept between calls.
+
+``toggle_permutation`` builds the same permutations a second way, by
+conjugating the vertex toggles through the rank bijection; the two
+constructions agreeing is the heart of the verified results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fibindex import fib, rank_masks, unrank_masks
 from .graphs import toggle_path_masks
@@ -28,51 +36,34 @@ __all__ = [
 ]
 
 
-# memo for generator(k, n); entries are immutable Permutations, so reads
-# may be shared freely.  Threads that miss the same key at once each compute
-# it and store equal values, so a race only recomputes an identical value
-_memo: dict[tuple[int, int], Permutation] = {}
+def _member_row(k: int, n: int) -> np.ndarray:
+    # the 0-based image table of member k at size n >= k, filled in place:
+    # the block swap at size k, then the identity at size k-1 shifted into
+    # the top block of size k+1, then for each size m >= k+2 the table at
+    # m-2, a prefix of the table at m-1, shifted into the top block of m
+    row = np.arange(fib(n + 2))
+    low, shift = fib(k), fib(k + 1)
+    row[:low] += shift
+    row[shift : shift + low] -= shift
+    for m in range(k + 2, n + 1):
+        row[fib(m + 1) : fib(m + 2)] = row[: fib(m)] + fib(m + 1)
+    return row
 
 
 def block_swap(n: int) -> Permutation:
-    """The involution (1, f(n+1)+1)(2, f(n+1)+2)...(f(n), f(n+2)) in S_f(n+2)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    low, shift, degree = fib(n), fib(n + 1), fib(n + 2)
-    img = list(range(1, degree + 1))
-    for i in range(1, low + 1):
-        img[i - 1] = shift + i
-        img[shift + i - 1] = i
-    return Permutation(img)
+    """The involution (1, f(n+1)+1)(2, f(n+1)+2)...(f(n), f(n+2)) in S_f(n+2),
+    which is the member with k = n."""
+    return generator(n, n)
 
 
 def generator(k: int, n: int) -> Permutation:
-    """The k-th family member at size n, an involution in S_f(n+2).
-
-    Recursion: the n-th member is the block swap, the (n-1)-th is the
-    previous family's member extended, and for k <= n-2 the member is the
-    size n-1 member times the size n-2 member conjugated into the top
-    block.  Results are memoized per (k, n).
-    """
+    """The k-th family member at size n, an involution in S_f(n+2), built
+    afresh on each call by the recursion in the module docstring."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    key = (k, n)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    if k == n:
-        t = block_swap(n)
-    elif k == n - 1:
-        t = generator(n - 1, n - 1).extend(fib(n + 2))
-    else:
-        degree = fib(n + 2)
-        left = generator(k, n - 1).extend(degree)
-        right = generator(k, n - 2).extend(degree).conjugate(block_swap(n))
-        t = left * right
-    _memo[key] = t
-    return t
+    return Permutation._from_raw(tuple(_member_row(k, n).tolist()))
 
 
 def family(n: int) -> tuple[Permutation, ...]:

@@ -14,6 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .fibindex import _independent_set
+from .perms import _is_decimal
 
 __all__ = [
     "enumerate_independent_sets",
@@ -68,11 +69,6 @@ def toggle_path(n: int, k: int, members: Iterable[int]) -> frozenset[int]:
     if not 1 <= k <= n:
         raise ValueError(f"vertex {k} out of range for path on 1..{n}")
     return _toggle_path_members(k, members)
-
-
-def _is_decimal(text: str) -> bool:
-    # str.isdigit alone also admits digits such as '٣' and '²'
-    return text.isascii() and text.isdigit()
 
 
 def format_set_text(members: Iterable[int]) -> str:

@@ -20,6 +20,12 @@ __all__ = [
 ]
 
 
+def _is_decimal(text: str) -> bool:
+    # ASCII digits only: str.isdigit alone also admits digits such as '٣'
+    # and '²'.  The one digit rule of every text parser in the package
+    return text.isascii() and text.isdigit()
+
+
 class DegreeMismatchError(ValueError):
     """Operands act on domains of different sizes."""
 
@@ -241,7 +247,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         points: list[int] = []
         while True:
             j = i
-            while j < n and "0" <= text[j] <= "9":
+            while j < n and _is_decimal(text[j]):
                 j += 1
             if j == i:
                 raise CycleParseError("expected an integer", i)

@@ -25,6 +25,7 @@ import numpy as np
 from .engine import StabilizerChain, build_chain, jordan_certificate
 from .families import (
     DiagonalSubgroupSpec,
+    _member_row,
     block_swap,
     diagonal_embed,
     family,
@@ -63,6 +64,10 @@ _STATUSES = ("pass", "fail", "skipped")
 
 # random diagonal elements that diagonal-generation sifts into its chain
 _DIAGONAL_SAMPLES = 100
+
+# a giant claim's _certificate when its caller has not computed the family's
+# certificate; None is a computed result, "not certified"
+_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,12 @@ def _toggle_tables(n: int) -> Iterator[np.ndarray]:
     return (rank_masks(toggle_path_masks(k, masks)) for k in range(1, n + 1))
 
 
-def _members(n: int, members: Optional[Sequence[Permutation]]) -> Sequence[Permutation]:
-    # the family at size n, or a members= override that stands for it
-    if members is None:
-        return family(n)
+def _override_rows(n: int, members: Sequence[Permutation]) -> list[np.ndarray]:
+    # the 0-based image tables of a members= override that stands for the
+    # family at size n
     if len(members) != n:
         raise ValueError(f"members has {len(members)} permutations, not n = {n}")
-    return members
+    return [np.array(p._img) for p in members]
 
 
 def verify_intertwining(
@@ -141,16 +145,19 @@ def verify_intertwining(
     k the toggle's table of ranks is compared image by image with the
     member, and the first disagreement in k-then-rank order is the
     counterexample.  A member that agrees on every rank but still differs
-    (it has another degree) fails as a whole permutation.
+    (it has another degree) fails as a whole permutation.  The family's
+    members are built one k at a time, as image tables.
     """
     claim = "intertwining"
     if n < 1:
         raise ValueError("n must be at least 1")
-    members = _members(n, members)
+    if members is None:
+        rows = (_member_row(k, n) for k in range(1, n + 1))
+    else:
+        rows = _override_rows(n, members)
     count = fib(n + 2)
-    for k, table in enumerate(_toggle_tables(n), start=1):
-        t = members[k - 1]
-        got = np.array(t._img[:count]) + 1
+    for k, (table, row) in enumerate(zip(_toggle_tables(n), rows), start=1):
+        got = row[:count] + 1
         expected = table[: len(got)]
         mismatches = np.flatnonzero(expected != got)
         if mismatches.size:
@@ -167,7 +174,7 @@ def verify_intertwining(
                     "got": int(got[i]),
                 },
             )
-        if t.degree != count:
+        if len(row) != count:
             return _failed(
                 claim,
                 n,
@@ -175,7 +182,7 @@ def verify_intertwining(
                 {
                     "k": k,
                     "induced": format_cycles(Permutation(table.tolist())),
-                    "member": format_cycles(t),
+                    "member": format_cycles(Permutation._from_raw(tuple(row.tolist()))),
                 },
             )
     return _passed(
@@ -185,13 +192,14 @@ def verify_intertwining(
 
 
 def _family_chain(
-    n: int, chain: Optional[StabilizerChain], symmetric: bool
+    n: int, chain: Optional[StabilizerChain], certificate: object, symmetric: bool
 ) -> Optional[StabilizerChain]:
     # the chain to read at size n: None when the family's Jordan certificate
     # proves A_f(n+2) (and has an odd generator, for S_f(n+2), if symmetric)
     degree = fib(n + 2)
     if chain is None:
-        certificate = jordan_certificate(family(n), degree)
+        if certificate is _UNSET:
+            certificate = jordan_certificate(family(n), degree)
         if certificate is not None and (certificate.odd_generator or not symmetric):
             return None
         return build_chain(family(n), degree)
@@ -201,18 +209,20 @@ def _family_chain(
 
 
 def verify_symmetric_generation(
-    n: int, *, chain: Optional[StabilizerChain] = None
+    n: int, *, chain: Optional[StabilizerChain] = None, _certificate: object = _UNSET
 ) -> VerificationReport:
     """The family at size n generates all of S_f(n+2).
 
     It passes on a Jordan certificate with an odd generator, else reads the
     family chain, or the passed ``chain``, which must act on 1..f(n+2).
+    ``_certificate`` is the family's certificate when :func:`verify_all`
+    has computed it already.
     """
     claim = "symmetric-generation"
     if n < 1:
         raise ValueError("n must be at least 1")
     degree = fib(n + 2)
-    chain = _family_chain(n, chain, symmetric=True)
+    chain = _family_chain(n, chain, _certificate, symmetric=True)
     if chain is None or chain.is_full_symmetric():
         return _passed(claim, n, f"group order is {degree}! = {math.factorial(degree)}")
     counter: dict = {"order": str(chain.order()), "expected": str(math.factorial(degree))}
@@ -284,17 +294,18 @@ def verify_diagonal_generation(
 
 
 def verify_three_cycles(
-    n: int, *, chain: Optional[StabilizerChain] = None
+    n: int, *, chain: Optional[StabilizerChain] = None, _certificate: object = _UNSET
 ) -> VerificationReport:
     """The generated group contains every consecutive 3-cycle (i,i+1,i+2).
 
     Any Jordan certificate passes it, as A_f(n+2) holds every 3-cycle.
-    ``chain`` is as for :func:`verify_symmetric_generation`.
+    ``chain`` and ``_certificate`` are as for
+    :func:`verify_symmetric_generation`.
     """
     claim = "three-cycles"
     if n < 4:
         raise ValueError("n must be at least 4")
-    chain = _family_chain(n, chain, symmetric=False)
+    chain = _family_chain(n, chain, _certificate, symmetric=False)
     missing = None if chain is None else chain.first_missing_three_cycle()
     if missing is not None:
         return _failed(
@@ -316,7 +327,7 @@ def verify_coxeter_relations(
     if members is None:
         tables = [table - 1 for table in _toggle_tables(n)]
     else:
-        tables = [np.array(p._img) for p in _members(n, members)]
+        tables = _override_rows(n, members)
     ident = np.arange(fib(n + 2))
     for k in range(1, n + 1):
         p = tables[k - 1]
@@ -522,14 +533,20 @@ def verify_all(
         reports.append(verify_golden_cases())
     for n in range(1, max_n + 1):
         degree = fib(n + 2)
+        certificate = _UNSET
+        if degree <= chain_cap and (wanted("symmetric-generation") or wanted("three-cycles")):
+            # one walk per n, read by both giant claims
+            certificate = jordan_certificate(family(n), degree)
         run("intertwining", enum_cap, "enumeration", lambda: verify_intertwining(n))
         run("coxeter-relations", enum_cap, "enumeration", lambda: verify_coxeter_relations(n))
         run("count-transitivity", enum_cap, "enumeration",
             lambda: verify_count_and_transitivity(n))
-        run("symmetric-generation", chain_cap, "chain", lambda: verify_symmetric_generation(n))
+        run("symmetric-generation", chain_cap, "chain",
+            lambda: verify_symmetric_generation(n, _certificate=certificate))
         if n >= 3:
             run("diagonal-generation", chain_cap, "chain", lambda: verify_diagonal_generation(n))
         if n >= 4:
-            run("three-cycles", chain_cap, "chain", lambda: verify_three_cycles(n))
+            run("three-cycles", chain_cap, "chain",
+                lambda: verify_three_cycles(n, _certificate=certificate))
     reports.sort(key=lambda r: (r.claim_id, r.n if r.n is not None else 0))
     return reports

@@ -80,6 +80,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generator(4, 3)
 
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 7), (3, 7), (6, 7), (7, 7), (2, 12)])
+    def test_members_hold_plain_ints(self, k, n):
+        # members are built from numpy rows and enter Permutation unchecked:
+        # a row passed without tolist() would hold numpy integers
+        assert {type(x) for x in generator(k, n).images} == {int}
+
     def test_family_degree_field(self):
         assert all(t.degree == fib(7) == 13 for t in family(5))
 

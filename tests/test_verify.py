@@ -100,6 +100,33 @@ class TestIntertwining:
         with pytest.raises(ValueError, match=f"members has {len(members)} permutations, not n = 3"):
             verify_intertwining(3, members=members)
 
+    def test_family_route_builds_no_permutation(self, monkeypatch):
+        # the members are compared as image tables, one k at a time
+        def refuse(*args):
+            raise AssertionError("a Permutation was built")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(Permutation, "_from_raw", classmethod(refuse))
+        assert verify_intertwining(9).passed
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_family_route_checks_every_member(self, monkeypatch, k):
+        from togglegroup import verify
+
+        real_row = verify._member_row
+
+        def faulty_row(j, n):
+            # the member at j = k swaps the images of ranks 1 and 2
+            row = real_row(j, n)
+            if j == k:
+                row[[0, 1]] = row[[1, 0]]
+            return row
+
+        monkeypatch.setattr(verify, "_member_row", faulty_row)
+        report = verify_intertwining(5)
+        assert report.status == "fail"
+        assert (report.counterexample["k"], report.counterexample["index"]) == (k, 1)
+
 
 class TestSymmetricGeneration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -346,6 +373,20 @@ class TestVerifyAll:
         reports = verify_all(12, "full", claims)
         assert chain_degrees == [2, 3, 5]
         assert reports == sorted(expected, key=lambda r: (r.claim_id, r.n))
+
+    def test_family_certificate_once_per_n(self, monkeypatch):
+        from togglegroup import verify
+
+        degrees = []
+        real_certificate = verify.jordan_certificate
+
+        def counting_certificate(generators, degree):
+            degrees.append(degree)
+            return real_certificate(generators, degree)
+
+        monkeypatch.setattr(verify, "jordan_certificate", counting_certificate)
+        verify_all(12, "full", ["symmetric-generation", "three-cycles"])
+        assert degrees == [fib(n + 2) for n in range(1, 13)]
 
     def test_engineered_failure_is_caught(self):
         # at least one verifier must flip on an injected fault
