@@ -19,7 +19,7 @@ from .engine import build_chain, jordan_certificate
 from .families import block_swap, family, prime_family, toggle_permutation
 from .fibindex import FIB_CEILING, FibCeilingError, fib, rank, unrank
 from .graphs import enumerate_independent_sets, format_set_text, parse_set_text, toggle_path
-from .perms import format_cycles
+from .perms import _is_decimal, format_cycles
 # the CLI materializes permutations and enumerations, and builds chains,
 # up to the full verification profile's bounds
 from .verify import FULL_CHAIN_DEGREE_CAP, FULL_ENUMERATION_CAP, all_claim_ids, verify_all
@@ -43,6 +43,15 @@ def _check_materializable(n: int) -> int:
             f"degree {degree} exceeds the materialization bound {FULL_ENUMERATION_CAP}"
         )
     return degree
+
+
+def _integer(text: str) -> int:
+    # the package's one digit rule, where type=int would take whatever int()
+    # takes: a plus sign, spaces, underscores and digits such as '٣'.  A
+    # leading minus stays, so that n < 1 meets the library's own message
+    if not _is_decimal(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload) -> None:
@@ -182,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     with_n = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_n.add_argument("--n", type=int, required=True)
+    with_n.add_argument("--n", type=_integer, required=True)
 
     def add(name, func, help_text, parent=with_n):
         p = sub.add_parser(name, parents=[parent], help=help_text)
@@ -195,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help='set text like "{1,3}"')
 
     p = add("unindex", _cmd_unindex, "independent set at a rank")
-    p.add_argument("--idx", type=int, required=True)
+    p.add_argument("--idx", type=_integer, required=True)
 
     p = add("toggle", _cmd_toggle, "toggle vertex k in an independent set")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--set", required=True)
 
     p = add("generators", _cmd_generators, "print the generator family")
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("hat-t", _cmd_hat_t, "print the block-swap involution")
 
     p = add("toggle-perm", _cmd_toggle_perm, "permutation of ranks induced by a toggle")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
 
     p = add("order", _cmd_order, "exact order of the generated group")
     which = p.add_mutually_exclusive_group()
@@ -215,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--toggles", action="store_true", help="toggle-induced permutations")
 
     p = add("verify", _cmd_verify, "run the verification harness", common)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_integer, required=True, dest="max_n")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--claim", help="restrict to one claim id")
 

@@ -1,17 +1,23 @@
 """Exact subgroup computations from a generating set.
 
 A :class:`StabilizerChain` is a base with strong generators, basic orbits
-and transversals, built by the deterministic incremental Schreier-Sims
-algorithm: distribute generators along the base, then sift Schreier
-generators level by level until every one reduces to the identity.  That
-termination condition is what certifies the chain, so ``order`` (the
-product of basic orbit sizes) and ``contains`` (membership by sifting) are
-exact.  Orders are plain Python ints, which are arbitrary precision.
+and transversals.  Each build phase certifies its chain by exactly one
+argument:
 
-Before that, a shortcut tries to certify the full symmetric group by
-counting: it sifts a product-replacement stream drawn from a fixed-seed
-generator, so it is random in form only, and a fixed generator order
-always rebuilds the identical chain.
+* the boost sifts a product-replacement stream and certifies by counting
+  alone: it stops as soon as the product of the basic orbit sizes reaches
+  degree!, which proves the group is all of S_degree.  The stream is drawn
+  from a fixed-seed generator, so it is random in form only, and a fixed
+  generator order always rebuilds the identical chain;
+* when the boost stalls, the verified build is plain deterministic
+  incremental Schreier-Sims: distribute the generators along the base,
+  then sift Schreier generators level by level until every one reduces to
+  the identity.  Witnessing every Schreier generator is its only stopping
+  rule; it never counts.
+
+Either way ``order`` (the product of basic orbit sizes) and ``contains``
+(membership by sifting) are exact.  Orders are plain Python ints, which
+are arbitrary precision.
 
 The paper's claim that the family generates all of S_degree needs no
 chain at all: :func:`jordan_certificate` proves that generators contain
@@ -26,7 +32,9 @@ which is what the construction spends its time on); the public surface
 speaks :class:`~togglegroup.perms.Permutation` values only.  Each
 transversal is stored once, as the inverses of its coset representatives:
 sifting only ever strips a representative, and a new representative's
-inverse is a product of stored inverses.
+inverse is a product of stored inverses.  The transversal's dict is also
+the basic orbit's only record: its keys are the orbit points in discovery
+order.
 
 The loops around the compositions read single points (``ndarray.item``)
 and test orbit membership on the transversal's keys.  A sift looks at one
@@ -122,15 +130,11 @@ class StabilizerChain:
         self._collect_pairs = True
         self._seed(raws)
 
-        # the transversal products already realize order() many distinct
-        # group elements, so hitting degree! certifies the chain outright
-        # (the basic orbits are then as large as they can possibly be and
-        # every Schreier generator is caught); skip the remaining sifting.
-        # Only a residue grows the orbits, so the order is recounted then
-        full_order = math.factorial(self.degree)
-        order = self.order()
+        # the chain is certified once every Schreier generator is witnessed.
+        # Counting is the boost's argument: a chain that reaches degree! here
+        # has full orbits, so its pending pairs all sift to the identity
         i = len(self._base) - 1
-        while i >= 0 and order != full_order:
+        while i >= 0:
             found = self._first_unwitnessed(i)
             if found is None:
                 i -= 1
@@ -142,7 +146,6 @@ class StabilizerChain:
             for level in range(i + 1, j + 1):
                 self._add_generator(level, residue, rinv)
                 self._extend_orbit(level)
-            order = self.order()
             i = j
         self._work = []  # construction is done; queues are spent
 
@@ -151,9 +154,9 @@ class StabilizerChain:
         self._gens: list[list[np.ndarray]] = []   # strong generators per level
         self._invs: list[list[np.ndarray]] = []
         # orbit point p -> inverse of the representative sending the base
-        # point to p, so the stored table sends p back to the base point
+        # point to p, so the stored table sends p back to the base point.
+        # The keys are the basic orbit, in discovery order
         self._tinv: list[dict[int, np.ndarray]] = []
-        self._pts: list[list[int]] = []       # orbit in discovery order
         self._work: list[deque[int]] = []     # pending Schreier pairs per level
         self._scanned: list[int] = []         # generators already closed over, per level
 
@@ -217,10 +220,10 @@ class StabilizerChain:
                 continue
             if j == len(self._base):
                 self._append_level(residue)
-            before = len(self._pts[j])
+            before = len(self._tinv[j])
             self._add_generator(j, residue, _invert(residue))
             self._extend_orbit(j)
-            order = order // before * len(self._pts[j])
+            order = order // before * len(self._tinv[j])
             slots.append(residue)
             stall = 0
         return False
@@ -232,7 +235,6 @@ class StabilizerChain:
         self._gens.append([])
         self._invs.append([])
         self._tinv.append({base_point: self._ident})
-        self._pts.append([base_point])
         self._work.append(deque())
         self._scanned.append(0)
 
@@ -245,12 +247,11 @@ class StabilizerChain:
         self._invs[i].append(inv)
         if self._collect_pairs:
             work = self._work[i]
-            for p in self._pts[i]:
+            for p in self._tinv[i]:
                 work.append(p * _STRIDE + gi)
 
     def _adjoin_point(self, i: int, x: int, rep_inv: np.ndarray) -> None:
         self._tinv[i][x] = rep_inv
-        self._pts[i].append(x)
         if self._collect_pairs:
             base = x * _STRIDE
             self._work[i].extend(range(base, base + len(self._gens[i])))
@@ -262,19 +263,20 @@ class StabilizerChain:
         # the points found after that are closed over in rounds, generator
         # by generator.  The representative at s(p) is s composed after the
         # one at p, so its inverse is the inverse at p composed after s^-1
-        tinv, pts = self._tinv[i], self._pts[i]
+        tinv = self._tinv[i]
         gens, invs = self._gens[i], self._invs[i]
         first_new = self._scanned[i]
         self._scanned[i] = len(gens)
-        chunk = pts[:]
+        chunk = list(tinv)
         while chunk:
-            k = len(pts)
+            found = []
             for s, si in zip(gens[first_new:], invs[first_new:]):
                 for p in chunk:
                     x = s.item(p)
                     if x not in tinv:
                         self._adjoin_point(i, x, tinv[p][si])
-            chunk, first_new = pts[k:], 0
+                        found.append(x)
+            chunk, first_new = found, 0
 
     def _first_unwitnessed(self, i):
         # first pending Schreier generator of level i that does not sift to
@@ -329,10 +331,10 @@ class StabilizerChain:
 
     def basic_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Per level, the basic orbit (1-based, in discovery order)."""
-        return tuple(tuple(p + 1 for p in pts) for pts in self._pts)
+        return tuple(tuple(p + 1 for p in tinv) for tinv in self._tinv)
 
     def basic_orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(pts) for pts in self._pts)
+        return tuple(map(len, self._tinv))
 
     def strong_generators(self) -> tuple[Permutation, ...]:
         out: list[Permutation] = []
@@ -347,10 +349,7 @@ class StabilizerChain:
 
     def order(self) -> int:
         """Exact group order: the product of the basic orbit sizes."""
-        total = 1
-        for pts in self._pts:
-            total *= len(pts)
-        return total
+        return math.prod(map(len, self._tinv))
 
     def contains(self, g: Permutation) -> bool:
         """Membership by sifting through the transversals."""
@@ -362,13 +361,8 @@ class StabilizerChain:
         return residue.tobytes() == self._ident_bytes
 
     def is_full_symmetric(self) -> bool:
-        """Whether the group is all of S_degree.
-
-        Equivalent to order == degree!, read off the basic orbit sizes:
-        they must be exactly degree, degree-1, ..., 2.
-        """
-        sizes = sorted(self.basic_orbit_sizes(), reverse=True)
-        return sizes == list(range(self.degree, 1, -1))
+        """Whether the group is all of S_degree: its order is degree!."""
+        return self.order() == math.factorial(self.degree)
 
     def contains_alternating(self) -> bool:
         """Whether every 3-cycle (i,i+1,i+2) is a member; these generate
@@ -397,8 +391,6 @@ class StabilizerChain:
             for r in self._gens[i]:
                 if any(r[self._base[j]] != self._base[j] for j in range(i)):
                     raise ValueError(f"level {i} generator moves an earlier base point")
-            if set(self._tinv[i]) != set(self._pts[i]):
-                raise ValueError(f"transversal at level {i} does not cover its orbit")
             for p, u in self._tinv[i].items():
                 if not np.array_equal(np.sort(u), self._ident):
                     raise ValueError(f"transversal entry at level {i} is not a bijection")

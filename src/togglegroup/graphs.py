@@ -9,6 +9,7 @@ for vertex v), toggled at once by :func:`toggle_path_masks`.
 
 from __future__ import annotations
 
+import gc
 from typing import Iterable
 
 import numpy as np
@@ -27,11 +28,20 @@ __all__ = [
 
 def _path_sets_in_rank_order(n: int) -> list[frozenset[int]]:
     # the independent sets of the path on 1..m in rank order: first those
-    # without vertex m (the sets of 1..m-1), then those of 1..m-2 with m added
-    shorter, sets = [frozenset()], [frozenset(), frozenset({1})]
-    for m in range(2, n + 1):
-        shorter, sets = sets, sets + [s | {m} for s in shorter]
-    return sets
+    # without vertex m (the sets of 1..m-1), then those of 1..m-2 with m added.
+    # The frozensets hold only ints and form no cycles, yet millions of new
+    # containers trigger cyclic GC passes that rescan every set built so far
+    # (several times the build's own time at n = 30); the collector is paused
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        shorter, sets = [frozenset()], [frozenset(), frozenset({1})]
+        for m in range(2, n + 1):
+            shorter, sets = sets, sets + [s | {m} for s in shorter]
+        return sets
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_independent_sets(n: int) -> list[frozenset[int]]:

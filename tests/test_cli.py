@@ -223,6 +223,23 @@ class TestUsageAndDeterminism:
     def test_zero_n(self, capsys):
         assert run(capsys, "enumerate", "--n", "0")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("toggle", "--n", "4", "--k", "٤", "--set", "{2}"),
+            ("verify", "--max-n", "３"),
+            ("hat-t", "--n", "+4"),
+            ("hat-t", "--n", " 4"),
+            ("unindex", "--n", "٣", "--idx", "1_0"),
+            ("unindex", "--n", "3", "--idx", "1_0"),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, capsys, argv):
+        # int() would read each of these; the options take ASCII digits only
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "invalid int value" in err
+
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
 

@@ -3,11 +3,13 @@
 Each parser may only reject input with its documented error, and what it
 accepts is written in ASCII digits and its own punctuation; the set parser
 accepts only the canonical text of a set.  The command
-line may only return an exit code, never raise, and rejects n < 1.
+line may only return an exit code, never raise, and rejects n < 1; its
+integer options take ASCII digits and an optional leading minus only.
 """
 
 import contextlib
 import io
+import re
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -102,3 +104,38 @@ def test_cli_returns_an_exit_code(case):
     assert code in (0, 1, 2, 3)
     if n < 1:
         assert code == 2
+
+
+# a valid command line per integer option, and where that option's value sits
+_INTEGER_SLOTS = (
+    (("toggle", "--n", "4", "--k", "4", "--set", "{2}"), (2, 4)),
+    (("unindex", "--n", "3", "--idx", "1"), (2, 4)),
+    (("hat-t", "--n", "4"), (2,)),
+    (("verify", "--max-n", "1"), (2,)),
+)
+
+
+@st.composite
+def malformed_integers(draw):
+    argv, slots = draw(st.sampled_from(_INTEGER_SLOTS))
+    text = draw(
+        st.lists(st.sampled_from(list("0123456789+ _") + _NOISE), max_size=6)
+        .map("".join)
+        .filter(lambda t: not re.fullmatch(r"-?[0-9]+", t))
+    )
+    argv = list(argv)
+    argv[draw(st.sampled_from(slots))] = text
+    return argv
+
+
+@settings(deadline=None)
+@given(malformed_integers())
+@example(["toggle", "--n", "4", "--k", "٤", "--set", "{2}"])
+@example(["verify", "--max-n", "３"])
+@example(["hat-t", "--n", "+4"])
+@example(["hat-t", "--n", " 4"])
+@example(["unindex", "--n", "٣", "--idx", "1_0"])
+def test_cli_integers_follow_the_digit_rule(argv):
+    # int() reads every one of these; the command line rejects them
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 2
