@@ -36,8 +36,14 @@ class ResourceBoundError(RuntimeError):
     """Request exceeds the configured resource bounds."""
 
 
+def _set_count(n: int) -> int:
+    # f(n+2), the number of independent sets; past the Fibonacci ceiling it
+    # is a resource bound.  n < 1 is left to the library's own message
+    return fib(max(n, 0) + 2)
+
+
 def _check_materializable(n: int) -> int:
-    degree = fib(n + 2)
+    degree = _set_count(n)
     if degree > FULL_ENUMERATION_CAP:
         raise ResourceBoundError(
             f"degree {degree} exceeds the materialization bound {FULL_ENUMERATION_CAP}"
@@ -75,34 +81,34 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
+    _set_count(args.n)
     idx = rank(args.n, parse_set_text(args.set))
     _emit(args, [str(idx)], {"index": idx})
     return EXIT_OK
 
 
 def _cmd_unindex(args: argparse.Namespace) -> int:
-    fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
+    _set_count(args.n)
     text = format_set_text(unrank(args.n, args.idx))
     _emit(args, [text], {"set": text})
     return EXIT_OK
 
 
 def _cmd_toggle(args: argparse.Namespace) -> int:
-    fib(args.n + 2)  # past the Fibonacci ceiling is a resource bound
+    _set_count(args.n)
     text = format_set_text(toggle_path(args.n, args.k, parse_set_text(args.set)))
     _emit(args, [text], {"set": text})
     return EXIT_OK
 
 
 def _cmd_generators(args: argparse.Namespace) -> int:
-    _check_materializable(args.n)
+    degree = _check_materializable(args.n)
     members = prime_family(args.n) if args.prime else family(args.n)
     lines = [format_cycles(t) for t in members]
     _emit(
         args,
         lines,
-        {"n": args.n, "degree": fib(args.n + 2), "prime": bool(args.prime), "members": lines},
+        {"n": args.n, "degree": degree, "prime": bool(args.prime), "members": lines},
     )
     return EXIT_OK
 

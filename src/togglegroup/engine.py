@@ -1,15 +1,17 @@
 """Exact subgroup computations from a generating set.
 
 A :class:`StabilizerChain` is a base with strong generators, basic orbits
-and transversals.  Each build phase certifies its chain by exactly one
-argument:
+and transversals.  :func:`jordan_certificate` picks the one phase a
+build runs, and each phase certifies its chain by exactly one argument:
 
-* the boost sifts a product-replacement stream and certifies by counting
-  alone: it stops as soon as the product of the basic orbit sizes reaches
-  degree!, which proves the group is all of S_degree.  The stream is drawn
-  from a fixed-seed generator, so it is random in form only, and a fixed
+* with a certificate the order is proved: degree!, or degree!/2 (A_degree)
+  when every generator is even.  The boost sifts a product-replacement
+  stream and certifies by counting alone: it stops when the product of
+  the basic orbit sizes reaches that order.  The stream is drawn from a
+  fixed-seed generator, so it is random in form only, and a fixed
   generator order always rebuilds the identical chain;
-* when the boost stalls, the verified build is plain deterministic
+* without one (intransitive groups, degrees with no prime in range,
+  groups that are not giant), the verified build is plain deterministic
   incremental Schreier-Sims: distribute the generators along the base,
   then sift Schreier generators level by level until every one reduces to
   the identity.  Witnessing every Schreier generator is its only stopping
@@ -69,19 +71,10 @@ __all__ = [
 # point * _STRIDE + index; generator counts stay far below the stride
 _STRIDE = 1_000_000
 
-# the boost phase gives up after this many consecutive fruitless products
-_BOOST_STALL_LIMIT = 64
-
 # the Jordan walk's seed, and the most generators it multiplies in; the
 # family's walks end after 21-134 steps for n = 4..12
 _JORDAN_SEED = 0x5EED
 _JORDAN_STEP_LIMIT = 1000
-
-
-def _check_degrees(generators: Sequence[Permutation], degree: int) -> None:
-    for g in generators:
-        if g.degree != degree:
-            raise DegreeMismatchError(f"generator of degree {g.degree} does not act on 1..{degree}")
 
 
 def _invert(a: np.ndarray) -> np.ndarray:
@@ -100,21 +93,28 @@ class StabilizerChain:
     queried from concurrent contexts without synchronization.
     """
 
+    # -- construction ------------------------------------------------------
+
     def __init__(self, generators: Iterable[Permutation], degree: int) -> None:
         if degree < 1:
             raise ValueError("degree must be at least 1")
+        generators = list(generators)
+        # the certificate picks the phase; it also checks the degrees
+        certificate = jordan_certificate(generators, degree)
         self.degree = degree
         self._ident = np.arange(degree, dtype=np.intp)
         self._ident_bytes = self._ident.tobytes()
-        self._reset_levels()
-        self._collect_pairs = False           # queue Schreier pairs (verified build only)
-        self._build(generators)
+        self._base: list[int] = []            # 0-based base points
+        self._gens: list[list[np.ndarray]] = []   # strong generators per level
+        self._invs: list[list[np.ndarray]] = []
+        # orbit point p -> inverse of the representative sending the base
+        # point to p, so the stored table sends p back to the base point.
+        # The keys are the basic orbit, in discovery order
+        self._tinv: list[dict[int, np.ndarray]] = []
+        self._work: list[deque[int]] = []     # pending Schreier pairs per level
+        self._scanned: list[int] = []         # generators already closed over, per level
+        self._collect_pairs = certificate is None  # queue Schreier pairs (verified build only)
 
-    # -- construction ------------------------------------------------------
-
-    def _build(self, generators: Iterable[Permutation]) -> None:
-        generators = list(generators)
-        _check_degrees(generators, self.degree)
         raws: list[np.ndarray] = []
         seen: set[bytes] = set()
         for g in generators:
@@ -123,16 +123,15 @@ class StabilizerChain:
             if key != self._ident_bytes and key not in seen:
                 seen.add(key)
                 raws.append(r)
-
-        if raws and self._boost_full_symmetric(raws):
-            return
-        self._reset_levels()
-        self._collect_pairs = True
         self._seed(raws)
 
-        # the chain is certified once every Schreier generator is witnessed.
-        # Counting is the boost's argument: a chain that reaches degree! here
-        # has full orbits, so its pending pairs all sift to the identity
+        if certificate is not None:
+            target = math.factorial(degree)
+            if certificate.odd_generator is None:
+                target //= 2
+            self._boost(raws, target)
+            return
+        # the chain is certified once every Schreier generator is witnessed
         i = len(self._base) - 1
         while i >= 0:
             found = self._first_unwitnessed(i)
@@ -148,17 +147,6 @@ class StabilizerChain:
                 self._extend_orbit(level)
             i = j
         self._work = []  # construction is done; queues are spent
-
-    def _reset_levels(self) -> None:
-        self._base: list[int] = []            # 0-based base points
-        self._gens: list[list[np.ndarray]] = []   # strong generators per level
-        self._invs: list[list[np.ndarray]] = []
-        # orbit point p -> inverse of the representative sending the base
-        # point to p, so the stored table sends p back to the base point.
-        # The keys are the basic orbit, in discovery order
-        self._tinv: list[dict[int, np.ndarray]] = []
-        self._work: list[deque[int]] = []     # pending Schreier pairs per level
-        self._scanned: list[int] = []         # generators already closed over, per level
 
     def _seed(self, raws: list[np.ndarray]) -> None:
         # the start of both builds, the boost and the verified one: choose
@@ -177,21 +165,20 @@ class StabilizerChain:
         for i in range(len(self._base)):
             self._extend_orbit(i)
 
-    def _boost_full_symmetric(self, raws: list[np.ndarray]) -> bool:
-        """Try to certify the group as all of S_degree by counting alone.
+    def _boost(self, raws: list[np.ndarray], target: int) -> None:
+        """Complete the seeded chain of a group of proved order ``target``
+        by counting alone.
 
         Sifts a deterministic (fixed-seed product replacement) stream of
         elements, storing each non-identity residue at the level where its
         sift sticks.  Transversal products are pairwise distinct group
         elements, so the orbit-size product is a lower bound on the order;
-        reaching degree! proves the group is the full symmetric group and
-        that the orbits are complete, which makes the chain exact as is.
-        Gives up (and reports False) once the stream stops contributing,
-        as it must for any proper subgroup.
+        reaching ``target`` makes the orbits complete and the chain exact
+        as is.  Below it, some group element is no transversal product and
+        sifts to a new orbit point; product replacement keeps the slots
+        generating the group, so the stream meets such elements with
+        probability one, and the loop needs no stall limit.
         """
-        target = math.factorial(self.degree)
-        self._seed(raws)
-
         rng = random.Random(0x5EED)  # fixed seed: runs are reproducible
         slots = list(raws) + [self._ident] * max(0, 8 - len(raws))
         w = self._ident
@@ -210,13 +197,9 @@ class StabilizerChain:
         # a residue that sticks at level j grows that level's orbit and no
         # other, so the order is kept up to date from that one orbit size
         order = self.order()
-        stall = 0
-        while stall < _BOOST_STALL_LIMIT:
-            if order == target:
-                return True
+        while order != target:
             residue, j = self._sift_raw(stir(), 0)
             if residue.tobytes() == self._ident_bytes:
-                stall += 1
                 continue
             if j == len(self._base):
                 self._append_level(residue)
@@ -225,8 +208,6 @@ class StabilizerChain:
             self._extend_orbit(j)
             order = order // before * len(self._tinv[j])
             slots.append(residue)
-            stall = 0
-        return False
 
     def _append_level(self, r: np.ndarray) -> None:
         # the new base point is the first point that table r moves
@@ -409,7 +390,9 @@ def build_chain(generators: Sequence[Permutation], degree: int) -> StabilizerCha
 
     The empty generating set gives the trivial group.  Base points are the
     smallest point moved at each level, so a fixed input order always
-    rebuilds the identical chain.
+    rebuilds the identical chain.  One phase builds it: the boost when
+    :func:`jordan_certificate` proves the order, the verified
+    Schreier-Sims build otherwise.
     """
     return StabilizerChain(generators, degree)
 
@@ -488,7 +471,9 @@ def jordan_certificate(
     same generators always give the same certificate.
     """
     gens = list(generators)
-    _check_degrees(gens, degree)
+    for g in gens:
+        if g.degree != degree:
+            raise DegreeMismatchError(f"generator of degree {g.degree} does not act on 1..{degree}")
     if not any(_is_prime(p) for p in range(degree // 2 + 1, degree - 2)):
         return None
     if len(orbit(gens, 1)) != degree:

@@ -139,9 +139,20 @@ class TestOrder:
         code, out, _ = run(capsys, "order", "--n", "4", "--format", "json")
         assert json.loads(out) == {"order": "40320"}
 
-    @pytest.mark.parametrize("n", ["-1", "0"])
+    @pytest.mark.parametrize("n", ["-1", "0", "-3"])
     @pytest.mark.parametrize(
-        "argv", [("order",), ("order", "--toggles"), ("generators",)]
+        "argv",
+        [
+            ("order",),
+            ("order", "--toggles"),
+            ("generators",),
+            ("enumerate",),
+            ("hat-t",),
+            ("index", "--set", "{}"),
+            ("unindex", "--idx", "1"),
+            ("toggle", "--k", "1", "--set", "{}"),
+            ("toggle-perm", "--k", "1"),
+        ],
     )
     def test_n_below_one_is_usage_error(self, capsys, argv, n):
         assert run(capsys, *argv, "--n", n) == (EXIT_USAGE, "", "error: n must be at least 1\n")

@@ -8,6 +8,7 @@ from conftest import brute_force_closure, random_permutation
 from togglegroup import (
     DegreeMismatchError,
     Permutation,
+    StabilizerChain,
     build_chain,
     fib,
     format_cycles,
@@ -229,6 +230,28 @@ class TestLargeFamilies:
         chain.validate()
 
 
+def _raise(*args):
+    raise AssertionError("this phase must not run")
+
+
+class TestPhaseChoice:
+    """The Jordan certificate picks the one phase a build runs: the boost
+    when it proves the order, the verified build otherwise."""
+
+    def test_certified_groups_run_only_the_boost(self, monkeypatch):
+        monkeypatch.setattr(StabilizerChain, "_first_unwitnessed", _raise)
+        assert build_chain(family(7), 34).order() == math.factorial(34)
+        # every generator is even, so the proved order is that of A_13
+        alternating = gens("(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11,12,13)", degree=13)
+        assert build_chain(alternating, 13).order() == math.factorial(13) // 2
+
+    def test_uncertified_groups_run_only_the_verified_build(self, monkeypatch):
+        monkeypatch.setattr(StabilizerChain, "_boost", _raise)
+        # intransitive, and degree 5 with no prime in (5/2, 2]
+        assert build_chain(prime_family(8), 55).order() == math.factorial(21) * math.factorial(13)
+        assert build_chain(family(3), 5).order() == 120
+
+
 def _chain_digest(generator_sets):
     h = hashlib.sha256()
     for generators, degree in generator_sets:
@@ -247,7 +270,7 @@ class TestPinnedChains:
 
     def test_family_chains(self):
         digest = _chain_digest((family(n), fib(n + 2)) for n in range(1, 11))
-        assert digest == "e42cea74299f90a1ece8ace3babf817d623bd370673455b6be56e1c07c54d872"
+        assert digest == "18818787c184839c4caddb2932c1f0c04726f97fbe8bc662709885961f805e48"
 
     def test_reduced_family_chains(self):
         digest = _chain_digest((prime_family(n), fib(n + 2)) for n in range(3, 11))

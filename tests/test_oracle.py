@@ -109,6 +109,8 @@ def test_transitive_imprimitive_groups_get_no_certificate(case):
     group = sympy_group(generators, degree)
     assert group.is_transitive() and not group.is_primitive(randomized=False)
     assert jordan_certificate(generators, degree) is None
+    # so the chain comes from the verified build alone
+    assert build_chain(generators, degree).order() == group.order()
 
 
 def test_s3_wreath_s3_gets_no_certificate():
@@ -138,3 +140,5 @@ def test_each_certificate_has_the_order_it_claims(case):
     if certificate.odd_generator is None:
         expected //= 2
     assert sympy_group(generators, degree).order() == expected
+    # the boost counts to the same order
+    assert build_chain(generators, degree).order() == expected
