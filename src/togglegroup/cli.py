@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
-from .engine import build_chain, jordan_certificate
+from .engine import _proved_order, build_chain
 from .families import block_swap, family, prime_family, toggle_permutation
 from .fibindex import FIB_CEILING, FibCeilingError, fib, rank, unrank
 from .graphs import enumerate_independent_sets, format_set_text, parse_set_text, toggle_path
@@ -139,11 +138,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
         generators = family(args.n)  # family rejects n < 1
         if args.toggles:
             generators = [toggle_permutation(args.n, k) for k in range(1, args.n + 1)]
-    # a Jordan certificate with an odd generator proves S_degree without a chain
-    certificate = jordan_certificate(generators, degree)
-    if certificate is not None and certificate.odd_generator is not None:
-        order = math.factorial(degree)
-    else:
+    # a chain only where the engine cannot prove the order orbit by orbit
+    order = _proved_order(generators, degree)
+    if order is None:
         order = build_chain(generators, degree).order()
     _emit(args, [str(order)], {"order": str(order)})
     return EXIT_OK

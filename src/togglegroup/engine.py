@@ -1,21 +1,29 @@
 """Exact subgroup computations from a generating set.
 
 A :class:`StabilizerChain` is a base with strong generators, basic orbits
-and transversals.  :func:`jordan_certificate` picks the one phase a
-build runs, and each phase certifies its chain by exactly one argument:
+and transversals.  The order the engine proves before it builds, orbit by
+orbit, picks the one phase a build runs, and each phase certifies its
+chain by exactly one argument:
 
-* with a certificate the order is proved: degree!, or degree!/2 (A_degree)
-  when every generator is even.  The boost sifts a product-replacement
-  stream and certifies by counting alone: it stops when the product of
-  the basic orbit sizes reaches that order.  The stream is drawn from a
-  fixed-seed generator, so it is random in form only, and a fixed
-  generator order always rebuilds the identical chain;
-* without one (intransitive groups, degrees with no prime in range,
-  groups that are not giant), the verified build is plain deterministic
-  incremental Schreier-Sims: distribute the generators along the base,
-  then sift Schreier generators level by level until every one reduces to
-  the identity.  Witnessing every Schreier generator is its only stopping
+* with a proved order the boost sifts a product-replacement stream and
+  certifies by counting alone: it stops when the product of the basic
+  orbit sizes reaches that order.  The stream is drawn from a fixed-seed
+  generator, so it is random in form only, and a fixed generator order
+  always rebuilds the identical chain;
+* without one (an orbit of degree 2..7, or one whose action is not
+  giant), the verified build is plain deterministic incremental
+  Schreier-Sims: distribute the generators along the base, then sift
+  Schreier generators level by level until every one reduces to the
+  identity.  Witnessing every Schreier generator is its only stopping
   rule; it never counts.
+
+The order is proved when every orbit's action contains its alternating
+group, as :func:`jordan_certificate` shows for each orbit up to
+equivalence of actions.  The derived group is then the product of those
+alternating groups, by Goursat's lemma for simple factors (the argument
+is in ``_proved_order``), and the signs of the generators give the rest:
+degree! or degree!/2 for a transitive group, f(n)! * f(n-1)! for the
+paper's reduced family at n >= 7.
 
 Either way ``order`` (the product of basic orbit sizes) and ``contains``
 (membership by sifting) are exact.  Orders are plain Python ints, which
@@ -26,8 +34,7 @@ chain at all: :func:`jordan_certificate` proves that generators contain
 A_degree from their transitivity and one product with a long prime
 cycle, in O(degree) memory, where the degree-377 chain's transversals
 take about 215 MB.  It can only ever prove a group large, so callers keep
-the chain as the fallback for everything it leaves open: orders,
-membership, and every proper subgroup.
+the chain for membership and for every order it leaves open.
 
 Internally image tables are numpy arrays (composition is fancy indexing,
 which is what the construction spends its time on); the public surface
@@ -99,8 +106,8 @@ class StabilizerChain:
         if degree < 1:
             raise ValueError("degree must be at least 1")
         generators = list(generators)
-        # the certificate picks the phase; it also checks the degrees
-        certificate = jordan_certificate(generators, degree)
+        # the proved order picks the phase; it also checks the degrees
+        target = _proved_order(generators, degree)
         self.degree = degree
         self._ident = np.arange(degree, dtype=np.intp)
         self._ident_bytes = self._ident.tobytes()
@@ -113,7 +120,7 @@ class StabilizerChain:
         self._tinv: list[dict[int, np.ndarray]] = []
         self._work: list[deque[int]] = []     # pending Schreier pairs per level
         self._scanned: list[int] = []         # generators already closed over, per level
-        self._collect_pairs = certificate is None  # queue Schreier pairs (verified build only)
+        self._collect_pairs = target is None  # queue Schreier pairs (verified build only)
 
         raws: list[np.ndarray] = []
         seen: set[bytes] = set()
@@ -125,10 +132,7 @@ class StabilizerChain:
                 raws.append(r)
         self._seed(raws)
 
-        if certificate is not None:
-            target = math.factorial(degree)
-            if certificate.odd_generator is None:
-                target //= 2
+        if target is not None:
             self._boost(raws, target)
             return
         # the chain is certified once every Schreier generator is witnessed
@@ -391,8 +395,9 @@ def build_chain(generators: Sequence[Permutation], degree: int) -> StabilizerCha
     The empty generating set gives the trivial group.  Base points are the
     smallest point moved at each level, so a fixed input order always
     rebuilds the identical chain.  One phase builds it: the boost when
-    :func:`jordan_certificate` proves the order, the verified
-    Schreier-Sims build otherwise.
+    the engine proves the order orbit by orbit (every orbit's action
+    certified by :func:`jordan_certificate`), the verified Schreier-Sims
+    build otherwise.
     """
     return StabilizerChain(generators, degree)
 
@@ -428,6 +433,17 @@ def orbit(generators: Sequence[Permutation], point: int) -> frozenset[int]:
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _check_degrees(gens: list[Permutation], degree: int) -> None:
+    for g in gens:
+        if g.degree != degree:
+            raise DegreeMismatchError(f"generator of degree {g.degree} does not act on 1..{degree}")
+
+
+def _has_jordan_prime(m: int) -> bool:
+    # a prime p with m/2 < p <= m-3; there is none at degrees 1..7
+    return any(_is_prime(p) for p in range(m // 2 + 1, m - 2))
 
 
 @dataclass(frozen=True)
@@ -471,10 +487,8 @@ def jordan_certificate(
     same generators always give the same certificate.
     """
     gens = list(generators)
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatchError(f"generator of degree {g.degree} does not act on 1..{degree}")
-    if not any(_is_prime(p) for p in range(degree // 2 + 1, degree - 2)):
+    _check_degrees(gens, degree)
+    if not _has_jordan_prime(degree):
         return None
     if len(orbit(gens, 1)) != degree:
         return None
@@ -491,3 +505,100 @@ def jordan_certificate(
             odd = next((k + 1 for k, g in enumerate(gens) if g.parity() < 0), None)
             return JordanCertificate(p, tuple(word), odd)
     return None
+
+
+def _intertwined(raws: list[tuple[int, ...]], a: list[int], b: list[int]) -> bool:
+    # whether a bijection from orbit a onto orbit b (0-based points)
+    # commutes with every generator.  The group is transitive on a, so
+    # such a map is fixed by the image of a[0]; a map that closes over a
+    # without contradiction is onto b, an orbit of the same size
+    return len(a) == len(b) and any(_carries(raws, a[0], y) for y in b)
+
+
+def _carries(raws: list[tuple[int, ...]], x0: int, y0: int) -> bool:
+    # carry x0 -> y0 along the generators, x -> y giving r[x] -> r[y];
+    # False as soon as one point gets two images
+    image = {x0: y0}
+    queue = [x0]
+    k = 0
+    while k < len(queue):
+        x = queue[k]
+        y = image[x]
+        k += 1
+        for r in raws:
+            gx, gy = r[x], r[y]
+            known = image.get(gx)
+            if known is None:
+                image[gx] = gy
+                queue.append(gx)
+            elif known != gy:
+                return False
+    return True
+
+
+def _proved_order(generators: Sequence[Permutation], degree: int) -> Optional[int]:
+    """The order of the group the generators span, proved orbit by orbit
+    without a chain, or None when some orbit's action is not certified.
+
+    The domain splits into the group's orbits; fixed points are skipped.
+    An orbit whose action is equivalent to an earlier one's (a bijection
+    between them commutes with every generator) joins that one's class.
+    One orbit of each class, under the restricted generators, must get a
+    :func:`jordan_certificate`, so its image G_i is A_a or S_a; the first
+    class that gets none ends the proof, and orbits of a degree with no
+    prime in range end it before any walk.
+
+    Then |G| = prod(a_i!/2) * 2^r over the classes, where r is the GF(2)
+    rank of the generators' sign vectors (the sign of each generator on
+    each class).  G acts faithfully on one orbit per class, since the
+    others copy its action.  Every certified degree is at least 8, so each
+    A_a is simple, each of its automorphisms is conjugation by an element
+    of S_a, and its centralizer in S_a is trivial.  The derived group G'
+    projects onto every A_a, so it is a subdirect product of simple
+    groups, hence a product of diagonals.  A diagonal between two classes
+    would be the graph of an isomorphism A_a -> A_b, conjugation by a
+    bijection phi; G normalizes G', and the trivial centralizer then makes
+    phi commute with the action of every element of G.  The two orbits
+    would be equivalent, but classes are not, so G' = prod A_a, and G/G'
+    is the span of the sign vectors.  With one class on the whole domain
+    this is degree!, or degree!/2 when every generator is even.
+    """
+    gens = list(generators)
+    _check_degrees(gens, degree)
+    orbits: list[list[int]] = []
+    covered: set[int] = set()
+    for point in range(1, degree + 1):
+        if point not in covered:
+            points = orbit(gens, point)
+            covered |= points
+            if len(points) > 1:
+                orbits.append(sorted(p - 1 for p in points))
+    if not all(_has_jordan_prime(len(o)) for o in orbits):
+        return None
+    raws = [g._img for g in gens]
+    classes: list[list[int]] = []
+    signs = [0] * len(gens)  # per generator, bit i is its sign on class i
+    order = 1
+    for points in orbits:
+        if any(_intertwined(raws, c, points) for c in classes):
+            continue
+        index = {p: i for i, p in enumerate(points)}
+        restricted = [
+            Permutation._from_raw(tuple(index[r[p]] for p in points)) for r in raws
+        ]
+        if jordan_certificate(restricted, len(points)) is None:
+            return None
+        for k, g in enumerate(restricted):
+            if g.parity() < 0:
+                signs[k] |= 1 << len(classes)
+        classes.append(points)
+        order *= math.factorial(len(points)) // 2
+    # an elimination basis over GF(2): each vector keeps a leading bit that
+    # the later ones have cleared
+    basis: list[int] = []
+    for v in signs:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return order * 2 ** len(basis)

@@ -163,7 +163,8 @@ class TestOrder:
 
     def test_family_order_reads_the_certificate(self, capsys, monkeypatch):
         # the Jordan certificate proves S_377 with no chain; the reduced
-        # family is not transitive, so its order still comes from the chain
+        # family at n = 4 has orbits of degrees 3 and 2, with no prime in
+        # range, so its order still comes from the chain
         from togglegroup import cli
 
         built = []
@@ -178,6 +179,18 @@ class TestOrder:
         assert built == []
         assert run(capsys, "order", "--n", "4", "--prime") == (EXIT_OK, "12\n", "")
         assert built == [8]
+
+    def test_reduced_family_order_is_proved_without_a_chain(self, capsys, monkeypatch):
+        # the low and top blocks act alike, as S_89, the middle block as
+        # S_55, and the sign pairs span both factors' signs
+        from togglegroup import cli
+
+        def no_chain(generators, degree):
+            raise AssertionError("no chain is needed")
+
+        monkeypatch.setattr(cli, "build_chain", no_chain)
+        expected = math.factorial(89) * math.factorial(55)
+        assert run(capsys, "order", "--n", "11", "--prime") == (EXIT_OK, f"{expected}\n", "")
 
 
 class TestVerify:

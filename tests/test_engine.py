@@ -16,6 +16,7 @@ from togglegroup import (
     orbit,
     parse_cycles,
 )
+from togglegroup.engine import _proved_order
 from togglegroup.families import family, prime_family
 
 
@@ -235,8 +236,8 @@ def _raise(*args):
 
 
 class TestPhaseChoice:
-    """The Jordan certificate picks the one phase a build runs: the boost
-    when it proves the order, the verified build otherwise."""
+    """The proved order picks the one phase a build runs: the boost when
+    every orbit's action is certified, the verified build otherwise."""
 
     def test_certified_groups_run_only_the_boost(self, monkeypatch):
         monkeypatch.setattr(StabilizerChain, "_first_unwitnessed", _raise)
@@ -244,12 +245,46 @@ class TestPhaseChoice:
         # every generator is even, so the proved order is that of A_13
         alternating = gens("(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11,12,13)", degree=13)
         assert build_chain(alternating, 13).order() == math.factorial(13) // 2
+        # intransitive: the low and the top blocks act alike, the middle
+        # block on its own
+        chain = build_chain(prime_family(8), 55)
+        chain.validate()
+        assert chain.order() == math.factorial(21) * math.factorial(13)
 
     def test_uncertified_groups_run_only_the_verified_build(self, monkeypatch):
         monkeypatch.setattr(StabilizerChain, "_boost", _raise)
-        # intransitive, and degree 5 with no prime in (5/2, 2]
-        assert build_chain(prime_family(8), 55).order() == math.factorial(21) * math.factorial(13)
+        # the middle block has degree 5, with no prime in (5/2, 2]
+        assert build_chain(prime_family(6), 21).order() == math.factorial(8) * math.factorial(5)
         assert build_chain(family(3), 5).order() == 120
+        # intransitive, with a dihedral orbit beside a giant one
+        dihedral = [g.extend(21) for g in _reflected_cycle(13)]
+        giant = gens("(14,15)", "(14,15,16,17,18,19,20,21)", degree=21)
+        assert build_chain(dihedral + giant, 21).order() == 26 * math.factorial(8)
+
+
+class TestProvedOrder:
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_reduced_family_is_both_blocks_full(self, n):
+        # diag(S_f(n)) on the low and top blocks times S_f(n-1) in the middle
+        expected = math.factorial(fib(n)) * math.factorial(fib(n - 1))
+        assert _proved_order(prime_family(n), fib(n + 2)) == expected
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_an_orbit_of_degree_at_most_5_leaves_it_open(self, n):
+        assert _proved_order(prime_family(n), fib(n + 2)) is None
+
+    def test_one_orbit_gives_the_jordan_target(self):
+        assert _proved_order(family(6), 21) == math.factorial(21)
+        alternating = gens("(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11,12,13)", degree=13)
+        assert _proved_order(alternating, 13) == math.factorial(13) // 2
+
+    def test_no_moved_point_is_the_trivial_group(self):
+        assert _proved_order([], 4) == 1
+        assert _proved_order([Permutation.identity(4)], 4) == 1
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(DegreeMismatchError):
+            _proved_order(family(4), 13)
 
 
 def _chain_digest(generator_sets):
@@ -274,7 +309,7 @@ class TestPinnedChains:
 
     def test_reduced_family_chains(self):
         digest = _chain_digest((prime_family(n), fib(n + 2)) for n in range(3, 11))
-        assert digest == "0cc4c71ca9c37b7a7c7f0e68cbe58844a4263e93fc49420ade811b58b1c73d4b"
+        assert digest == "7bc7796b542fc7efe075e5a19321ac6048112bd0f6a2736eb2484bf7a9044814"
 
     def test_large_family_chains(self):
         # degrees 233 and 377, the largest full-symmetric chains

@@ -1,7 +1,8 @@
 """The engine against an outside oracle: sympy's exact permutation groups.
 
-Orders and membership from :func:`build_chain`, and the verdicts of
-:func:`jordan_certificate`, are compared with sympy's deterministic
+Orders and membership from :func:`build_chain`, the verdicts of
+:func:`jordan_certificate` and the orders the engine proves orbit by
+orbit are compared with sympy's deterministic
 Schreier-Sims (``PermutationGroup.order`` and ``contains``), never with
 its Monte-Carlo tests.  Both libraries read the same 0-based image
 tables; sympy composes left to right, which changes no order and no
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from togglegroup import Permutation, build_chain, fib, jordan_certificate
+from togglegroup.engine import _proved_order
 from togglegroup.families import family, prime_family
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -142,3 +144,83 @@ def test_each_certificate_has_the_order_it_claims(case):
     assert sympy_group(generators, degree).order() == expected
     # the boost counts to the same order
     assert build_chain(generators, degree).order() == expected
+
+
+def _giant_pair(m, alternating):
+    # two 0-based tables on range(m): a transposition and an m-cycle span
+    # S_m; (1,2,3) and a cycle of odd length through 2..m (and 1 when m is
+    # odd) span A_m
+    if not alternating:
+        return [1, 0] + list(range(2, m)), [(x + 1) % m for x in range(m)]
+    start = 1 - m % 2
+    cycle = list(range(m))
+    for x in range(start, m):
+        cycle[x] = x + 1 if x + 1 < m else start
+    return [1, 2, 0] + list(range(3, m)), cycle
+
+
+def _on_blocks(place, a, x, y):
+    # x acts on positions 0..a-1 and y on the next len(y), each position
+    # sent to its point by place; the remaining points are fixed
+    images = list(range(1, len(place) + 1))
+    for i, xi in enumerate(x):
+        images[place[i]] = place[xi] + 1
+    for i, yi in enumerate(y):
+        images[place[a + i]] = place[a + yi] + 1
+    return Permutation(images)
+
+
+@st.composite
+def giant_orbit_sets(draw):
+    """Generators with two orbits of degree 8..12, giant on each, and up to
+    two fixed points: a direct product, a product whose generators move
+    both orbits at once, or a diagonal twisted by a relabeling."""
+    kind = draw(st.sampled_from(["product", "coupled", "twisted"]))
+    a = draw(st.integers(8, 12))
+    b = a if kind == "twisted" else draw(st.integers(8, 12))
+    xs = _giant_pair(a, draw(st.booleans()))
+    if kind == "twisted":
+        relabel = draw(st.permutations(range(a)))
+        ys = []
+        for x in xs:
+            y = [0] * a
+            for i, xi in enumerate(x):
+                y[relabel[i]] = relabel[xi]
+            ys.append(y)
+    else:
+        ys = _giant_pair(b, draw(st.booleans()))
+    if kind == "product":
+        pairs = [(x, range(b)) for x in xs] + [(range(a), y) for y in ys]
+    elif kind == "coupled":
+        pairs = [(xs[0], ys[1]), (xs[1], ys[0])]
+    else:
+        pairs = list(zip(xs, ys))
+    degree = a + b + draw(st.integers(0, 2))
+    place = draw(st.permutations(range(degree)))
+    return degree, [_on_blocks(place, a, x, y) for x, y in pairs]
+
+
+@settings(deadline=None, max_examples=40)
+@given(giant_orbit_sets())
+def test_multi_orbit_orders_match_sympy(case):
+    degree, generators = case
+    expected = sympy_group(generators, degree).order()
+    assert _proved_order(generators, degree) == expected
+    assert build_chain(generators, degree).order() == expected
+
+
+@pytest.mark.parametrize("a, b", [(8, 9), (9, 11), (10, 12)])
+def test_diagonal_sign_pairs_halve_the_product(a, b):
+    # fault injection: every generator is even on both orbits or odd on
+    # both, so the signs span only the diagonal of (Z/2)^2
+    (ta, ca), (tb, cb) = _giant_pair(a, False), _giant_pair(b, False)
+    if a % 2 != b % 2:  # the two cycles differ in sign
+        cb = [cb[x] for x in tb]
+    place = list(range(a + b))
+    generators = [_on_blocks(place, a, ta, tb), _on_blocks(place, a, ca, cb)]
+    for g in generators:
+        assert g.parity() == 1
+    expected = math.factorial(a) * math.factorial(b) // 2
+    assert sympy_group(generators, a + b).order() == expected
+    assert _proved_order(generators, a + b) == expected
+    assert build_chain(generators, a + b).order() == expected
