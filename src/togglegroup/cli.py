@@ -149,7 +149,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n + 2 > FIB_CEILING:
         raise ResourceBoundError(f"max-n {args.max_n} exceeds the Fibonacci ceiling")
-    claims = [args.claim] if args.claim else None
+    claims = None if args.claim is None else [args.claim]
     if claims and claims[0] not in all_claim_ids():
         print(
             f"unknown claim {claims[0]!r}; valid: {', '.join(all_claim_ids())}",

@@ -119,13 +119,27 @@ def _failed(claim_id: str, n: Optional[int], details: str, counterexample: dict)
 
 
 def _toggle_tables(n: int) -> Iterator[np.ndarray]:
-    # the 1-based image table of each toggle on ranks, k = 1..n, straight
-    # from the bitmask tables and not through the validating Permutation
-    # constructor: a verifier reads a table only as far as its own check
-    # proves it a bijection (equality with a member, or squaring to the
-    # identity)
+    # the 0-based image table of each toggle on rank positions, k = 1..n
     masks = unrank_masks(n)
-    return (rank_masks(toggle_path_masks(k, masks)) for k in range(1, n + 1))
+    return _weighted_toggle_tables(n, masks, rank_masks(masks) - 1)
+
+
+def _weighted_toggle_tables(
+    n: int, masks: np.ndarray, base: np.ndarray
+) -> Iterator[np.ndarray]:
+    # the tables of the toggles k = 1..n on the sets ``masks``, whose 0-based
+    # ranks are ``base``, one at a time.  A rank is 1 + the sum of f(v+1)
+    # over the set's vertices and toggle k changes bit k-1 alone, so the
+    # toggled set's rank is the set's own plus f(k+1) times the change in
+    # that bit: exactly rank_masks of the toggled masks, for one pass over
+    # the table instead of one per bit plane.  The tables go straight from
+    # the bitmasks, not through the validating Permutation constructor: a
+    # verifier reads a table only as far as its own check proves it a
+    # bijection (equality with a member, or squaring to the identity)
+    for k in range(1, n + 1):
+        bit = k - 1
+        change = (toggle_path_masks(k, masks) >> bit & 1) - (masks >> bit & 1)
+        yield base + fib(k + 1) * change
 
 
 def _override_rows(n: int, members: Sequence[Permutation]) -> list[np.ndarray]:
@@ -157,7 +171,7 @@ def verify_intertwining(
         rows = _override_rows(n, members)
     count = fib(n + 2)
     for k, (table, row) in enumerate(zip(_toggle_tables(n), rows), start=1):
-        got = row[:count] + 1
+        got = row[:count]
         expected = table[: len(got)]
         mismatches = np.flatnonzero(expected != got)
         if mismatches.size:
@@ -170,8 +184,8 @@ def verify_intertwining(
                     "k": k,
                     "set": format_set_text(unrank(n, i + 1)),
                     "index": i + 1,
-                    "expected": int(expected[i]),
-                    "got": int(got[i]),
+                    "expected": int(expected[i]) + 1,
+                    "got": int(got[i]) + 1,
                 },
             )
         if len(row) != count:
@@ -181,7 +195,7 @@ def verify_intertwining(
                 f"induced permutation differs from the family member at k={k}",
                 {
                     "k": k,
-                    "induced": format_cycles(Permutation(table.tolist())),
+                    "induced": format_cycles(Permutation((table + 1).tolist())),
                     "member": format_cycles(Permutation._from_raw(tuple(row.tolist()))),
                 },
             )
@@ -325,7 +339,7 @@ def verify_coxeter_relations(
         raise ValueError("n must be at least 1")
     # 0-based image tables, on which the table of p * q is p[q]
     if members is None:
-        tables = [table - 1 for table in _toggle_tables(n)]
+        tables = list(_toggle_tables(n))
     else:
         tables = _override_rows(n, members)
     ident = np.arange(fib(n + 2))
@@ -362,21 +376,39 @@ def verify_count_and_transitivity(n: int) -> VerificationReport:
             claim, n, "independent-set count is off",
             {"count": len(masks), "expected": expected},
         )
-    if np.unique(masks).size != len(masks):
-        return _failed(claim, n, "enumeration repeats a set", {"count": len(masks)})
-    # breadth-first search from the empty set over bitmasks, a whole
-    # frontier per step
-    reached = frontier = np.zeros(1, dtype=np.int64)
+    # the walk reads position i as the set of rank i+1, which holds when the
+    # sets are independent and ranked 1..f(n+2) in order: each table entry
+    # is then the position of the toggled set itself
+    base = rank_masks(masks) - 1
+    wrong = np.flatnonzero((base != np.arange(expected)) | ((masks & masks >> 1) != 0))
+    if wrong.size:
+        # sets in rank order are distinct, so only a failing enumeration
+        # pays for the sort that tells a repeat
+        if np.unique(masks).size != len(masks):
+            return _failed(claim, n, "enumeration repeats a set", {"count": len(masks)})
+        i = int(wrong[0])
+        return _failed(
+            claim, n, "enumeration is not the independent sets in rank order",
+            {"index": i + 1, "rank": int(base[i]) + 1, "set": _mask_text(int(masks[i]))},
+        )
+    # breadth-first search from the empty set (position 0) over positions,
+    # a whole frontier per step, marking each reached position once
+    tables = list(_weighted_toggle_tables(n, masks, base))
+    seen = np.zeros(expected, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        step = np.concatenate([toggle_path_masks(v, frontier) for v in range(1, n + 1)])
-        frontier = np.setdiff1d(step, reached)
-        reached = np.union1d(reached, frontier)
-    if reached.size != expected:
-        missing = int(np.flatnonzero(~np.isin(masks, reached))[0]) + 1
+        before = seen.copy()
+        for table in tables:
+            seen[table[frontier]] = True
+        frontier = np.flatnonzero(seen & ~before)
+    reached = int(np.count_nonzero(seen))
+    if reached != expected:
+        missing = int(np.flatnonzero(~seen)[0]) + 1
         return _failed(
             claim, n, "toggles do not reach every independent set",
             {
-                "reached": int(reached.size),
+                "reached": reached,
                 "expected": expected,
                 "missing": format_set_text(unrank(n, missing)),
             },

@@ -218,6 +218,13 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "valid" in err
 
+    def test_empty_claim_is_unknown(self, capsys):
+        # an empty --claim names no claim; it does not stand for every claim
+        code, out, err = run(capsys, "verify", "--max-n", "3", "--claim", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("unknown claim ''; valid: ")
+
     def test_json_reports(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--format", "json")
         payload = json.loads(out)

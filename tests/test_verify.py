@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from togglegroup import (
@@ -279,10 +280,46 @@ class TestCoxeterRelations:
         assert report.status == "fail"
         assert report.counterexample == {"k": 1}
 
+    @pytest.mark.parametrize(
+        "cycles,line",
+        [
+            (
+                ("(1,2)", "(1,3)", "(2,3)"),
+                "distant toggles do not commute [counterexample: k=1, k2=3]",
+            ),
+            (
+                ("(1,2)(3,4)", "(2,3)(4,5)", "()"),
+                "(toggle_k toggle_k+1)^6 is not the identity [counterexample: k=1]",
+            ),
+        ],
+    )
+    def test_each_relation_fails_with_its_own_line(self, cycles, line):
+        members = [parse_cycles(text, 5) for text in cycles]
+        report = verify_coxeter_relations(3, members=members)
+        assert report.text_line() == "   FAIL coxeter-relations n=3: " + line
+
     @pytest.mark.parametrize("members", [family(3)[:2], family(3) + family(3)])
     def test_override_of_another_length_is_rejected(self, members):
         with pytest.raises(ValueError, match=f"members has {len(members)} permutations, not n = 3"):
             verify_coxeter_relations(3, members=members)
+
+
+class TestToggleTables:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_weight_delta_equals_ranking_the_toggled_sets(self, n):
+        # the shipped tables add one vertex weight per entry; the reference
+        # ranks every toggled set over all of its bit planes
+        from togglegroup import verify
+        from togglegroup.fibindex import rank_masks, unrank_masks
+        from togglegroup.graphs import toggle_path_masks
+
+        masks = unrank_masks(n)
+        tables = list(verify._toggle_tables(n))
+        assert len(tables) == n
+        for k, table in enumerate(tables, start=1):
+            reference = rank_masks(toggle_path_masks(k, masks)) - 1
+            assert table.dtype == reference.dtype
+            assert np.array_equal(table, reference)
 
 
 class TestCountAndTransitivity:
@@ -306,6 +343,52 @@ class TestCountAndTransitivity:
         assert verify_count_and_transitivity(6).text_line() == (
             "   FAIL count-transitivity n=6: toggles do not reach every independent"
             " set [counterexample: expected=21, missing={1}, reached=13]"
+        )
+
+    def test_enumeration_out_of_rank_order_fails(self, monkeypatch):
+        # the walk reads position i as rank i+1; {1} and {2} swapped would
+        # still be 21 distinct sets, all reachable
+        from togglegroup import verify
+
+        unrank_masks = verify.unrank_masks
+
+        def swapped(n):
+            masks = unrank_masks(n)
+            masks[[1, 2]] = masks[[2, 1]]
+            return masks
+
+        monkeypatch.setattr(verify, "unrank_masks", swapped)
+        assert verify_count_and_transitivity(6).text_line() == (
+            "   FAIL count-transitivity n=6: enumeration is not the independent sets"
+            " in rank order [counterexample: index=2, rank=3, set={2}]"
+        )
+
+    def test_repeated_set_fails_as_a_repeat(self, monkeypatch):
+        from togglegroup import verify
+
+        unrank_masks = verify.unrank_masks
+
+        def repeated(n):
+            masks = unrank_masks(n)
+            masks[5] = masks[4]
+            return masks
+
+        monkeypatch.setattr(verify, "unrank_masks", repeated)
+        assert verify_count_and_transitivity(6).text_line() == (
+            "   FAIL count-transitivity n=6: enumeration repeats a set [counterexample: count=21]"
+        )
+
+    def test_dependent_set_at_its_rank_fails(self, monkeypatch):
+        # {1,2} has the rank of {3}, 1 + f(2) + f(3) = 4; walking from it as
+        # if it were {3} would reach all five positions
+        from togglegroup import verify
+
+        monkeypatch.setattr(
+            verify, "unrank_masks", lambda n: np.array([0b000, 0b001, 0b010, 0b011, 0b101])
+        )
+        assert verify_count_and_transitivity(3).text_line() == (
+            "   FAIL count-transitivity n=3: enumeration is not the independent sets"
+            " in rank order [counterexample: index=4, rank=4, set={1,2}]"
         )
 
 
