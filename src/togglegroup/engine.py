@@ -5,11 +5,9 @@ and transversals.  The order the engine proves before it builds, orbit by
 orbit, picks the one phase a build runs, and each phase certifies its
 chain by exactly one argument:
 
-* with a proved order the boost sifts a product-replacement stream and
-  certifies by counting alone: it stops when the product of the basic
-  orbit sizes reaches that order.  The stream is drawn from a fixed-seed
-  generator, so it is random in form only, and a fixed generator order
-  always rebuilds the identical chain;
+* with a proved order the chain is written from the proof's structure,
+  with no Schreier generator: its basic orbit sizes multiply to that
+  order, and every generator must sift through it to the identity;
 * without one (an orbit of degree 2..7, or one whose action is not
   giant), the verified build is plain deterministic incremental
   Schreier-Sims: distribute the generators along the base, then sift
@@ -21,7 +19,7 @@ The order is proved when every orbit's action contains its alternating
 group, as :func:`jordan_certificate` shows for each orbit up to
 equivalence of actions.  The derived group is then the product of those
 alternating groups, by Goursat's lemma for simple factors (the argument
-is in ``_proved_order``), and the signs of the generators give the rest:
+is in ``_proof``), and the signs of the generators give the rest:
 degree! or degree!/2 for a transitive group, f(n)! * f(n-1)! for the
 paper's reduced family at n >= 7.
 
@@ -106,8 +104,8 @@ class StabilizerChain:
         if degree < 1:
             raise ValueError("degree must be at least 1")
         generators = list(generators)
-        # the proved order picks the phase; it also checks the degrees
-        target = _proved_order(generators, degree)
+        # the proof picks the phase; it also checks the degrees
+        proof = _proof(generators, degree)
         self.degree = degree
         self._ident = np.arange(degree, dtype=np.intp)
         self._ident_bytes = self._ident.tobytes()
@@ -120,7 +118,6 @@ class StabilizerChain:
         self._tinv: list[dict[int, np.ndarray]] = []
         self._work: list[deque[int]] = []     # pending Schreier pairs per level
         self._scanned: list[int] = []         # generators already closed over, per level
-        self._collect_pairs = target is None  # queue Schreier pairs (verified build only)
 
         raws: list[np.ndarray] = []
         seen: set[bytes] = set()
@@ -130,11 +127,23 @@ class StabilizerChain:
             if key != self._ident_bytes and key not in seen:
                 seen.add(key)
                 raws.append(r)
-        self._seed(raws)
-
-        if target is not None:
-            self._boost(raws, target)
+        if proof is not None:
+            self._write(raws, *proof[1:])
             return
+        # the verified build: every generator moves a base point, and level
+        # i holds the generators fixing the first i base points
+        for r in raws:
+            if all(r[b] == b for b in self._base):
+                self._append_level(r)
+        for r in raws:
+            inv = _invert(r)
+            d = 0
+            while d < len(self._base) and r[self._base[d]] == self._base[d]:
+                d += 1
+            for i in range(d + 1):
+                self._add_generator(i, r, inv)
+        for i in range(len(self._base)):
+            self._extend_orbit(i)
         # the chain is certified once every Schreier generator is witnessed
         i = len(self._base) - 1
         while i >= 0:
@@ -152,66 +161,56 @@ class StabilizerChain:
             i = j
         self._work = []  # construction is done; queues are spent
 
-    def _seed(self, raws: list[np.ndarray]) -> None:
-        # the start of both builds, the boost and the verified one: choose
-        # base points so that every generator moves one
-        for r in raws:
-            if all(r[b] == b for b in self._base):
-                self._append_level(r)
-        # distribute: level i holds the generators fixing the first i base points
-        for r in raws:
-            inv = _invert(r)
-            d = 0
-            while d < len(self._base) and r[self._base[d]] == self._base[d]:
-                d += 1
-            for i in range(d + 1):
-                self._add_generator(i, r, inv)
-        for i in range(len(self._base)):
-            self._extend_orbit(i)
+    def _write(self, raws: list[np.ndarray], classes: list, basis: list[int]) -> None:
+        """Lay out the chain of the group ``_proof`` describes: the
+        permutations acting alike on the positions of each class's orbits,
+        with sign vectors in the span of ``basis``.  A class of degree a
+        gets levels i < a-2: base point position i of its first orbit,
+        basic orbit positions i..a-1, and at x the 3-cycle (i x y), y the
+        last position other than x, on every orbit of the class.  Each basis
+        vector then swaps the last two positions of its classes, on a level
+        in its leading class, whose bit the later vectors have cleared.  The
+        orbit sizes multiply to the proved order, so the generators' group
+        is this one once every generator sifts to the identity."""
+        ident = self._ident
 
-    def _boost(self, raws: list[np.ndarray], target: int) -> None:
-        """Complete the seeded chain of a group of proved order ``target``
-        by counting alone.
+        def cycles(at: np.ndarray, i, x, y) -> np.ndarray:
+            # a table per entry of i, x and y: the 3-cycle (i x y) of
+            # positions on every orbit, where row q of at lists their points
+            out = np.tile(ident, (len(x), 1))
+            rows = np.arange(len(x))[:, None]
+            out[rows, at[i]], out[rows, at[x]], out[rows, at[y]] = at[x], at[y], at[i]
+            return out
 
-        Sifts a deterministic (fixed-seed product replacement) stream of
-        elements, storing each non-identity residue at the level where its
-        sift sticks.  Transversal products are pairwise distinct group
-        elements, so the orbit-size product is a lower bound on the order;
-        reaching ``target`` makes the orbits complete and the chain exact
-        as is.  Below it, some group element is no transversal product and
-        sifts to a new orbit point; product replacement keeps the slots
-        generating the group, so the stream meets such elements with
-        probability one, and the loop needs no stall limit.
-        """
-        rng = random.Random(0x5EED)  # fixed seed: runs are reproducible
-        slots = list(raws) + [self._ident] * max(0, 8 - len(raws))
-        w = self._ident
-        def stir() -> np.ndarray:
-            nonlocal w
-            a = rng.randrange(len(slots))
-            b = rng.randrange(len(slots) - 1)
-            if b >= a:
-                b += 1
-            other = slots[b] if rng.randrange(2) else _invert(slots[b])
-            slots[a] = slots[a][other]
-            w = w[slots[a]]
-            return w
-        for _ in range(64):  # burn-in mixes the slots
-            stir()
-        # a residue that sticks at level j grows that level's orbit and no
-        # other, so the order is kept up to date from that one orbit size
-        order = self.order()
-        while order != target:
-            residue, j = self._sift_raw(stir(), 0)
-            if residue.tobytes() == self._ident_bytes:
-                continue
-            if j == len(self._base):
-                self._append_level(residue)
-            before = len(self._tinv[j])
-            self._add_generator(j, residue, _invert(residue))
-            self._extend_orbit(j)
-            order = order // before * len(self._tinv[j])
-            slots.append(residue)
+        positions = [np.array(orbits, dtype=np.intp).T for orbits in classes]
+        strong = list(raws)
+        for at in positions:
+            a = len(at)
+            for i in range(a - 2):
+                xs = np.arange(i + 1, a)  # the stored inverse of (i x y) is (i y x)
+                inverses = cycles(at, np.full_like(xs, i), np.where(xs < a - 1, a - 1, a - 2), xs)
+                self._base.append(at.item(i, 0))
+                self._tinv.append({at.item(i, 0): ident, **dict(zip(at[xs, 0].tolist(), inverses))})
+            first = np.arange(a - 2)
+            strong.extend(cycles(at, first, first + 1, first + 2))
+        for v in basis:
+            swap = ident.copy()
+            for c, at in enumerate(positions):
+                if v >> c & 1:
+                    swap[at[-2]], swap[at[-1]] = at[-1], at[-2]
+            lead = positions[v.bit_length() - 1]
+            self._base.append(lead.item(-2, 0))
+            self._tinv.append({lead.item(-2, 0): ident, lead.item(-1, 0): swap})
+            strong.append(swap)
+        if any(self._sift_raw(r, 0)[0].tobytes() != self._ident_bytes for r in raws):
+            raise RuntimeError("a generator lies outside the group its proof describes")
+        # the inputs first, each strong generator on every level up to the
+        # first whose base point it moves (every member but the identity has one)
+        self._gens = [[] for _ in self._base]
+        for r in strong:
+            d = next(i for i, b in enumerate(self._base) if r.item(b) != b)
+            for level in self._gens[: d + 1]:
+                level.append(r)
 
     def _append_level(self, r: np.ndarray) -> None:
         # the new base point is the first point that table r moves
@@ -230,16 +229,14 @@ class StabilizerChain:
         gi = len(self._gens[i])
         self._gens[i].append(r)
         self._invs[i].append(inv)
-        if self._collect_pairs:
-            work = self._work[i]
-            for p in self._tinv[i]:
-                work.append(p * _STRIDE + gi)
+        work = self._work[i]
+        for p in self._tinv[i]:
+            work.append(p * _STRIDE + gi)
 
     def _adjoin_point(self, i: int, x: int, rep_inv: np.ndarray) -> None:
         self._tinv[i][x] = rep_inv
-        if self._collect_pairs:
-            base = x * _STRIDE
-            self._work[i].extend(range(base, base + len(self._gens[i])))
+        base = x * _STRIDE
+        self._work[i].extend(range(base, base + len(self._gens[i])))
 
     def _extend_orbit(self, i: int) -> None:
         # close the basic orbit under the level's generators; existing
@@ -392,12 +389,13 @@ class StabilizerChain:
 def build_chain(generators: Sequence[Permutation], degree: int) -> StabilizerChain:
     """Deterministic stabilizer chain for the group the generators span.
 
-    The empty generating set gives the trivial group.  Base points are the
-    smallest point moved at each level, so a fixed input order always
-    rebuilds the identical chain.  One phase builds it: the boost when
+    The empty generating set gives the trivial group, and a fixed input
+    order always rebuilds the identical chain.  One phase builds it.  When
     the engine proves the order orbit by orbit (every orbit's action
-    certified by :func:`jordan_certificate`), the verified Schreier-Sims
-    build otherwise.
+    certified by :func:`jordan_certificate`), the chain is written from
+    that proof, its base points taken orbit by orbit in position order.
+    Otherwise the verified Schreier-Sims build runs, and each base point
+    is the smallest point moved at its level.
     """
     return StabilizerChain(generators, degree)
 
@@ -507,24 +505,23 @@ def jordan_certificate(
     return None
 
 
-def _intertwined(raws: list[tuple[int, ...]], a: list[int], b: list[int]) -> bool:
-    # whether a bijection from orbit a onto orbit b (0-based points)
-    # commutes with every generator.  The group is transitive on a, so
-    # such a map is fixed by the image of a[0]; a map that closes over a
-    # without contradiction is onto b, an orbit of the same size
-    return len(a) == len(b) and any(_carries(raws, a[0], y) for y in b)
+def _intertwined(raws: list[tuple[int, ...]], a: list[int], b: list[int]) -> Optional[list]:
+    # orbit b listed as the images of a's points (0-based) under a bijection
+    # that commutes with every generator, or None.  The group is transitive
+    # on a, so such a map is fixed by the image of a[0]; a map that closes
+    # over a without contradiction is onto b, an orbit of the same size
+    images = (_carries(raws, a[0], y) for y in b) if len(a) == len(b) else ()
+    image = next(filter(None, images), None)
+    return None if image is None else [image[x] for x in a]
 
 
-def _carries(raws: list[tuple[int, ...]], x0: int, y0: int) -> bool:
-    # carry x0 -> y0 along the generators, x -> y giving r[x] -> r[y];
-    # False as soon as one point gets two images
+def _carries(raws: list[tuple[int, ...]], x0: int, y0: int) -> Optional[dict[int, int]]:
+    # carry x0 -> y0 along the generators, x -> y giving r[x] -> r[y]; the
+    # image of every point reached, or None as soon as one gets two images
     image = {x0: y0}
     queue = [x0]
-    k = 0
-    while k < len(queue):
-        x = queue[k]
+    for x in queue:  # the loop reaches the points appended during it
         y = image[x]
-        k += 1
         for r in raws:
             gx, gy = r[x], r[y]
             known = image.get(gx)
@@ -532,13 +529,20 @@ def _carries(raws: list[tuple[int, ...]], x0: int, y0: int) -> bool:
                 image[gx] = gy
                 queue.append(gx)
             elif known != gy:
-                return False
-    return True
+                return None
+    return image
 
 
 def _proved_order(generators: Sequence[Permutation], degree: int) -> Optional[int]:
-    """The order of the group the generators span, proved orbit by orbit
-    without a chain, or None when some orbit's action is not certified.
+    """The order :func:`_proof` proves, or None."""
+    proof = _proof(generators, degree)
+    return proof and proof[0]
+
+
+def _proof(generators: Sequence[Permutation], degree: int) -> Optional[tuple]:
+    """The order of the group the generators span, its classes of orbits
+    and its sign basis, proved orbit by orbit without a chain; or None when
+    some orbit's action is not certified.
 
     The domain splits into the group's orbits; fixed points are skipped.
     An orbit whose action is equivalent to an earlier one's (a bijection
@@ -561,7 +565,9 @@ def _proved_order(generators: Sequence[Permutation], degree: int) -> Optional[in
     phi commute with the action of every element of G.  The two orbits
     would be equivalent, but classes are not, so G' = prod A_a, and G/G'
     is the span of the sign vectors.  With one class on the whole domain
-    this is degree!, or degree!/2 when every generator is even.
+    this is degree!, or degree!/2 when every generator is even.  A class
+    lists its 0-based orbits, the first sorted and the others through their
+    bijection with it; the basis vectors are bit masks over the classes.
     """
     gens = list(generators)
     _check_degrees(gens, degree)
@@ -576,23 +582,27 @@ def _proved_order(generators: Sequence[Permutation], degree: int) -> Optional[in
     if not all(_has_jordan_prime(len(o)) for o in orbits):
         return None
     raws = [g._img for g in gens]
-    classes: list[list[int]] = []
+    classes: list[list[list[int]]] = []
     signs = [0] * len(gens)  # per generator, bit i is its sign on class i
     order = 1
     for points in orbits:
-        if any(_intertwined(raws, c, points) for c in classes):
-            continue
-        index = {p: i for i, p in enumerate(points)}
-        restricted = [
-            Permutation._from_raw(tuple(index[r[p]] for p in points)) for r in raws
-        ]
-        if jordan_certificate(restricted, len(points)) is None:
-            return None
-        for k, g in enumerate(restricted):
-            if g.parity() < 0:
-                signs[k] |= 1 << len(classes)
-        classes.append(points)
-        order *= math.factorial(len(points)) // 2
+        for c in classes:
+            listing = _intertwined(raws, c[0], points)
+            if listing is not None:
+                c.append(listing)
+                break
+        else:
+            index = {p: i for i, p in enumerate(points)}
+            restricted = [
+                Permutation._from_raw(tuple(index[r[p]] for p in points)) for r in raws
+            ]
+            if jordan_certificate(restricted, len(points)) is None:
+                return None
+            for k, g in enumerate(restricted):
+                if g.parity() < 0:
+                    signs[k] |= 1 << len(classes)
+            classes.append([points])
+            order *= math.factorial(len(points)) // 2
     # an elimination basis over GF(2): each vector keeps a leading bit that
     # the later ones have cleared
     basis: list[int] = []
@@ -601,4 +611,4 @@ def _proved_order(generators: Sequence[Permutation], degree: int) -> Optional[in
             v = min(v, v ^ b)
         if v:
             basis.append(v)
-    return order * 2 ** len(basis)
+    return order * 2 ** len(basis), classes, basis

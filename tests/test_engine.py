@@ -16,6 +16,7 @@ from togglegroup import (
     orbit,
     parse_cycles,
 )
+from togglegroup import engine
 from togglegroup.engine import _proved_order
 from togglegroup.families import family, prime_family
 
@@ -252,7 +253,7 @@ class TestPhaseChoice:
         assert chain.order() == math.factorial(21) * math.factorial(13)
 
     def test_uncertified_groups_run_only_the_verified_build(self, monkeypatch):
-        monkeypatch.setattr(StabilizerChain, "_boost", _raise)
+        monkeypatch.setattr(StabilizerChain, "_write", _raise)
         # the middle block has degree 5, with no prime in (5/2, 2]
         assert build_chain(prime_family(6), 21).order() == math.factorial(8) * math.factorial(5)
         assert build_chain(family(3), 5).order() == 120
@@ -260,6 +261,36 @@ class TestPhaseChoice:
         dihedral = [g.extend(21) for g in _reflected_cycle(13)]
         giant = gens("(14,15)", "(14,15,16,17,18,19,20,21)", degree=21)
         assert build_chain(dihedral + giant, 21).order() == 26 * math.factorial(8)
+
+
+class TestWrittenChainCheck:
+    """A proved group's chain is written from its proof and returned only
+    once every generator sifts through it to the identity: a proof whose
+    structure disagrees with the generators raises instead."""
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_a_rotated_intertwining_map_raises(self, n, monkeypatch):
+        intertwined = engine._intertwined
+
+        def rotated(*args):
+            listing = intertwined(*args)
+            return listing and listing[1:] + listing[:1]
+
+        monkeypatch.setattr(engine, "_intertwined", rotated)
+        with pytest.raises(RuntimeError, match="outside the group"):
+            build_chain(prime_family(n), fib(n + 2))
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_a_dropped_sign_vector_raises(self, n, monkeypatch):
+        proof = engine._proof
+
+        def dropped(*args):
+            order, classes, basis = proof(*args)
+            return order // 2, classes, basis[:-1]
+
+        monkeypatch.setattr(engine, "_proof", dropped)
+        with pytest.raises(RuntimeError, match="outside the group"):
+            build_chain(prime_family(n), fib(n + 2))
 
 
 class TestProvedOrder:
@@ -305,16 +336,26 @@ class TestPinnedChains:
 
     def test_family_chains(self):
         digest = _chain_digest((family(n), fib(n + 2)) for n in range(1, 11))
-        assert digest == "18818787c184839c4caddb2932c1f0c04726f97fbe8bc662709885961f805e48"
+        assert digest == "50a1df70362723cb6eaaf7f6bbcc383acb4f63089b0f9b4f53442242f3b3fefa"
 
     def test_reduced_family_chains(self):
         digest = _chain_digest((prime_family(n), fib(n + 2)) for n in range(3, 11))
-        assert digest == "7bc7796b542fc7efe075e5a19321ac6048112bd0f6a2736eb2484bf7a9044814"
+        assert digest == "94d0d646a94a38e823b65a4cae0bb8f9ecaa8412af285cb9beccae1a467abbf8"
 
     def test_large_family_chains(self):
         # degrees 233 and 377, the largest full-symmetric chains
         digest = _chain_digest((family(n), fib(n + 2)) for n in (11, 12))
-        assert digest == "06b210c34a16310e18c14db53e8529a7e4c59396af6048b21f7f96a56e0ab45e"
+        assert digest == "22569d861987ae676d130975b7da53a61b111bc6fe856e77d3e0b718f6fa09c0"
+
+    def test_unproved_chains(self):
+        # the groups whose order is not proved, so the verified
+        # Schreier-Sims build makes their chains
+        sets = [(family(n), fib(n + 2)) for n in range(1, 4)]
+        sets += [(prime_family(n), fib(n + 2)) for n in range(3, 7)]
+        for generators, degree in sets:
+            assert _proved_order(generators, degree) is None
+        digest = _chain_digest(sets)
+        assert digest == "1818c2250d6de174144becdf4d23c50b89f88b0e65a9b2ede3c284f17c8c6a24"
 
 
 def _power(g, e):

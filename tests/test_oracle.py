@@ -142,7 +142,7 @@ def test_each_certificate_has_the_order_it_claims(case):
     if certificate.odd_generator is None:
         expected //= 2
     assert sympy_group(generators, degree).order() == expected
-    # the boost counts to the same order
+    # the chain written from the proof has the same order
     assert build_chain(generators, degree).order() == expected
 
 
@@ -201,12 +201,25 @@ def giant_orbit_sets(draw):
 
 
 @settings(deadline=None, max_examples=40)
-@given(giant_orbit_sets())
-def test_multi_orbit_orders_match_sympy(case):
+@given(giant_orbit_sets(), st.randoms(use_true_random=False))
+def test_multi_orbit_orders_match_sympy(case, rng):
     degree, generators = case
-    expected = sympy_group(generators, degree).order()
+    group = sympy_group(generators, degree)
+    expected = group.order()
     assert _proved_order(generators, degree) == expected
-    assert build_chain(generators, degree).order() == expected
+    chain = build_chain(generators, degree)
+    assert chain.order() == expected
+    # random words are members; the same words times a transposition, and
+    # random permutations, are members exactly when sympy says so
+    for _ in range(4):
+        word = Permutation.identity(degree)
+        for _ in range(rng.randint(1, 12)):
+            word = word * rng.choice(generators)
+        assert chain.contains(word) and group.contains(to_sympy(word))
+        swap = Permutation.from_cycles([tuple(rng.sample(range(1, degree + 1), 2))], degree)
+        probe = Permutation(rng.sample(range(1, degree + 1), degree))
+        for g in (word * swap, probe):
+            assert chain.contains(g) == group.contains(to_sympy(g))
 
 
 @pytest.mark.parametrize("a, b", [(8, 9), (9, 11), (10, 12)])
