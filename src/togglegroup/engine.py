@@ -31,8 +31,11 @@ The paper's claim that the family generates all of S_degree needs no
 chain at all: :func:`jordan_certificate` proves that generators contain
 A_degree from their transitivity and one product with a long prime
 cycle, in O(degree) memory, where the degree-377 chain's transversals
-take about 215 MB.  It can only ever prove a group large, so callers keep
-the chain for membership and for every order it leaves open.
+take about 215 MB.  Its walk composes raw image tuples and reads each
+product only for its one cycle longer than half the degree, with a scan
+that stops once at most half the points are left unseen; it never builds
+a cycle decomposition.  It can only ever prove a group large, so callers
+keep the chain for membership and for every order it leaves open.
 
 Internally image tables are numpy arrays (composition is fancy indexing,
 which is what the construction spends its time on); the public surface
@@ -479,6 +482,12 @@ def jordan_certificate(
     product is shorter than m - p < p, so prime to p, and the product's
     power to the lcm of the other lengths is a p-cycle of G.
 
+    A product is a raw image tuple, and only its one cycle longer than
+    m/2, if it has one, is read: the scan follows cycles from the smallest
+    unseen point and stops as soon as at most m/2 points are left unseen,
+    since no such cycle fits among them.  So a product whose long cycle
+    holds point 1 costs one pass along that cycle.
+
     None means only that nothing was certified: the generators are not
     transitive, no prime lies in the range (as at degrees 2, 3 and 5), or
     the walk found no such product.  The walk is deterministic, so the
@@ -491,18 +500,41 @@ def jordan_certificate(
     if len(orbit(gens, 1)) != degree:
         return None
     rng = random.Random(_JORDAN_SEED)
-    product = Permutation.identity(degree)
+    raws = [g._img for g in gens]
+    product = tuple(range(degree))
     word = []
     for _ in range(_JORDAN_STEP_LIMIT):
         i = rng.randrange(len(gens))
-        product = product * gens[i]
+        product = tuple(map(product.__getitem__, raws[i]))  # product * gens[i]
         word.append(i + 1)
-        # a cycle longer than m/2 is the longest, and there is one at most
-        p = max(map(len, product.cycles()), default=0)
-        if 2 * p > degree and p <= degree - 3 and _is_prime(p):
+        p = _long_cycle(product)
+        if p and p <= degree - 3 and _is_prime(p):
             odd = next((k + 1 for k, g in enumerate(gens) if g.parity() < 0), None)
             return JordanCertificate(p, tuple(word), odd)
     return None
+
+
+def _long_cycle(img: tuple[int, ...]) -> int:
+    # the length of the one cycle longer than half the degree, or 0.  The
+    # scan stops once at most half the points are left unseen, since no
+    # such cycle fits among them; a fixed point of degree 1 is no cycle
+    m = len(img)
+    seen = bytearray(m)
+    left = m
+    for s in range(m):
+        if seen[s]:
+            continue
+        j, length = img[s], 1
+        while j != s:
+            seen[j] = 1
+            j = img[j]
+            length += 1
+        if 2 * length > m > 1:
+            return length
+        left -= length
+        if 2 * left <= m:
+            return 0
+    return 0
 
 
 def _intertwined(raws: list[tuple[int, ...]], a: list[int], b: list[int]) -> Optional[list]:

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 from conftest import brute_force_closure, random_permutation
 
 from togglegroup import (
@@ -237,8 +238,10 @@ def _raise(*args):
 
 
 class TestPhaseChoice:
-    """The proved order picks the one phase a build runs: the boost when
-    every orbit's action is certified, the verified build otherwise."""
+    """The proved order picks the one phase a build runs: the chain is
+    written from the proof when every orbit's action is certified, and the
+    verified build runs otherwise.  (The first test's name predates the
+    written chains; it is kept so that its test id stays the same.)"""
 
     def test_certified_groups_run_only_the_boost(self, monkeypatch):
         monkeypatch.setattr(StabilizerChain, "_first_unwitnessed", _raise)
@@ -452,3 +455,50 @@ class TestJordanCertificate:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DegreeMismatchError):
             jordan_certificate(family(4), 13)
+
+    def test_family_certificates_are_pinned(self):
+        # the walk's steps, words and primes for n = 4..16, up to degree
+        # 2584; a change to how the walk composes or scans its products
+        # shows here unless it takes the very same steps
+        h = hashlib.sha256()
+        for n in range(4, 17):
+            c = jordan_certificate(family(n), fib(n + 2))
+            h.update(repr((n, c.p, c.word, c.odd_generator)).encode())
+        assert h.hexdigest() == "aba59f5a0da693aa13d7ad1e495d533a76931ef1de325db67aa712714bf0aa0b"
+
+
+def _longest_cycle_over_half(g):
+    # the reference: the longest cycle from the full decomposition
+    p = max(map(len, g.cycles()), default=0)
+    return p if 2 * p > g.degree else 0
+
+
+class TestLongCycle:
+    """``_long_cycle`` reads the walk's one cycle longer than half the
+    degree, with a scan that stops once no such cycle can remain."""
+
+    @given(st.integers(1, 40).flatmap(lambda m: st.permutations(range(1, m + 1))))
+    def test_matches_the_cycle_decomposition(self, images):
+        g = Permutation(images)
+        assert engine._long_cycle(g._img) == _longest_cycle_over_half(g)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 55])
+    def test_identity_has_none(self, m):
+        assert engine._long_cycle(Permutation.identity(m)._img) == 0
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 55])
+    def test_full_cycle(self, m):
+        g = Permutation.from_cycles([tuple(range(1, m + 1))], m)
+        assert engine._long_cycle(g._img) == m
+
+    @pytest.mark.parametrize("m", [4, 8, 54])
+    def test_two_halves_give_none(self, m):
+        half = m // 2
+        g = Permutation.from_cycles([tuple(range(1, half + 1)), tuple(range(half + 1, m + 1))], m)
+        assert engine._long_cycle(g._img) == 0
+
+    def test_long_cycle_after_a_short_one(self):
+        # the scan meets the 9-cycle after a 2-cycle, with 9 of the 11
+        # points still unseen
+        g = parse_cycles("(1,2)(3,4,5,6,7,8,9,10,11)", 11)
+        assert engine._long_cycle(g._img) == 9
