@@ -15,7 +15,15 @@ import sys
 from typing import Optional, Sequence
 
 from .engine import _proved_order, build_chain
-from .families import block_swap, family, prime_family, toggle_permutation
+from .families import (
+    _family_ks,
+    _prime_family_ks,
+    block_swap,
+    family,
+    generator,
+    prime_family,
+    toggle_permutation,
+)
 from .fibindex import FIB_CEILING, FibCeilingError, fib, rank, unrank
 from .graphs import enumerate_independent_sets, format_set_text, parse_set_text, toggle_path
 from .perms import _is_decimal, format_cycles
@@ -102,8 +110,10 @@ def _cmd_toggle(args: argparse.Namespace) -> int:
 
 def _cmd_generators(args: argparse.Namespace) -> int:
     degree = _check_materializable(args.n)
-    members = prime_family(args.n) if args.prime else family(args.n)
-    lines = [format_cycles(t) for t in members]
+    # one member at a time: at n = 26 the whole family's image tables take
+    # hundreds of MB, its text a fraction of that
+    ks = _prime_family_ks(args.n) if args.prime else _family_ks(args.n)
+    lines = [format_cycles(generator(k, args.n)) for k in ks]
     _emit(
         args,
         lines,

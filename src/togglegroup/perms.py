@@ -4,6 +4,12 @@ Composition is right-to-left everywhere: ``(g * h)(x) == g(h(x))``.  Points
 are 1-based in all public signatures and in cycle text.  Permutations of
 different degrees never coerce silently; embedding into a larger symmetric
 group is the explicit :meth:`Permutation.extend`.
+
+:func:`format_cycles` writes the canonical text in one pass over the image
+table, with no intermediate decomposition: each 2-cycle, the whole of an
+involution such as a family member or the block swap, is one f-string, and
+the cycles are joined once.  :meth:`Permutation.cycles` stays the public
+decomposition, and the text it gives is the formatter's test reference.
 """
 
 from __future__ import annotations
@@ -200,11 +206,32 @@ class Permutation:
 
 
 def format_cycles(g: Permutation) -> str:
-    """Canonical cycle text; fixed points omitted, identity is ``()``."""
-    cycles = g.cycles()
-    if not cycles:
+    """Canonical cycle text; fixed points omitted, identity is ``()``.
+
+    The text of :meth:`Permutation.cycles`, written in one pass over the
+    image table: a 2-cycle is one f-string and a longer cycle one join.
+    """
+    img = g._img
+    seen = bytearray(len(img))
+    parts = []
+    # walking from the smallest unseen point starts each cycle at its
+    # minimum and orders the cycles by first point, as cycles() does
+    for s, x in enumerate(img):
+        if seen[s] or x == s:
+            continue
+        if img[x] == s:
+            parts.append(f"{s + 1},{x + 1}")
+            seen[x] = 1
+            continue
+        cycle = [s + 1]
+        while x != s:
+            seen[x] = 1
+            cycle.append(x + 1)
+            x = img[x]
+        parts.append(",".join(map(str, cycle)))
+    if not parts:
         return "()"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+    return "(" + ")(".join(parts) + ")"
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

@@ -26,6 +26,7 @@ from .engine import StabilizerChain, build_chain, jordan_certificate
 from .families import (
     DiagonalSubgroupSpec,
     _member_row,
+    _toggle_table,
     block_swap,
     diagonal_embed,
     family,
@@ -119,27 +120,16 @@ def _failed(claim_id: str, n: Optional[int], details: str, counterexample: dict)
 
 
 def _toggle_tables(n: int) -> Iterator[np.ndarray]:
-    # the 0-based image table of each toggle on rank positions, k = 1..n
+    # the 0-based image table of each toggle on rank positions, k = 1..n.
+    # The tables go straight from the bitmasks, not through the validating
+    # Permutation constructor: a verifier reads a table only as far as its
+    # own check proves it a bijection (equality with a member, or squaring
+    # to the identity)
     masks = unrank_masks(n)
-    return _weighted_toggle_tables(n, masks, rank_masks(masks) - 1)
-
-
-def _weighted_toggle_tables(
-    n: int, masks: np.ndarray, base: np.ndarray
-) -> Iterator[np.ndarray]:
-    # the tables of the toggles k = 1..n on the sets ``masks``, whose 0-based
-    # ranks are ``base``, one at a time.  A rank is 1 + the sum of f(v+1)
-    # over the set's vertices and toggle k changes bit k-1 alone, so the
-    # toggled set's rank is the set's own plus f(k+1) times the change in
-    # that bit: exactly rank_masks of the toggled masks, for one pass over
-    # the table instead of one per bit plane.  The tables go straight from
-    # the bitmasks, not through the validating Permutation constructor: a
-    # verifier reads a table only as far as its own check proves it a
-    # bijection (equality with a member, or squaring to the identity)
-    for k in range(1, n + 1):
-        bit = k - 1
-        change = (toggle_path_masks(k, masks) >> bit & 1) - (masks >> bit & 1)
-        yield base + fib(k + 1) * change
+    base = rank_masks(masks) - 1
+    return (
+        _toggle_table(k, masks, toggle_path_masks(k, masks), base) for k in range(1, n + 1)
+    )
 
 
 def _override_rows(n: int, members: Sequence[Permutation]) -> list[np.ndarray]:
@@ -393,7 +383,9 @@ def verify_count_and_transitivity(n: int) -> VerificationReport:
         )
     # breadth-first search from the empty set (position 0) over positions,
     # a whole frontier per step, marking each reached position once
-    tables = list(_weighted_toggle_tables(n, masks, base))
+    tables = [
+        _toggle_table(k, masks, toggle_path_masks(k, masks), base) for k in range(1, n + 1)
+    ]
     seen = np.zeros(expected, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)

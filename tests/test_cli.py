@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import togglegroup
+from togglegroup import format_cycles, generator
 from togglegroup.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -119,6 +120,57 @@ class TestGenerators:
     def test_toggle_perm_command(self, capsys):
         code, out, _ = run(capsys, "toggle-perm", "--n", "2", "--k", "2")
         assert out == "(1,3)\n"
+
+    @pytest.mark.parametrize("n", ["-1", "0", "1", "2"])
+    def test_prime_listing_needs_n_at_least_3(self, capsys, n):
+        assert run(capsys, "generators", "--n", n, "--prime") == (
+            EXIT_USAGE, "", "error: the reduced family needs n >= 3\n"
+        )
+
+    @pytest.mark.parametrize("prime, count", [((), 9), (("--prime",), 7)])
+    def test_listing_builds_one_member_at_a_time(self, capsys, monkeypatch, prime, count):
+        # the whole family is never held: each member is built by the
+        # generator, formatted and dropped
+        from togglegroup import cli
+
+        def whole_family(n):
+            raise AssertionError("the whole family was built")
+
+        built = []
+        real_generator = cli.generator
+
+        def counting_generator(k, n):
+            built.append(k)
+            return real_generator(k, n)
+
+        monkeypatch.setattr(cli, "family", whole_family)
+        monkeypatch.setattr(cli, "prime_family", whole_family)
+        monkeypatch.setattr(cli, "generator", counting_generator)
+        code, out, _ = run(capsys, "generators", "--n", "9", *prime)
+        assert code == EXIT_OK
+        assert built == list(range(1, count + 1))
+        assert out.splitlines() == [format_cycles(generator(k, 9)) for k in built]
+
+
+# SHA-256 over json.dumps([exit code, stdout, stderr]) of each command line
+# in turn, taken before the cycle text was written in one pass
+CYCLE_TEXT_PINS = (
+    ("hat-t --n {}", range(1, 19), "fcc33cc8cb753e907a249537793bf242cb53e9993d7e3ff80c6d197dc83a871e"),
+    ("generators --n {}", range(1, 13), "53ceb83f91eb0c8d6a7396a86084f80622faa6f598de4cb3cb3689c74d16d981"),
+    ("generators --prime --n {}", range(3, 13), "2ae3fd48ce040c76fe8bde683f0565eeb63de3c3165c1e7b76d60c6ead8aff1a"),
+    ("toggle-perm --n 10 --k {}", range(1, 11), "4c6a5717b835923b293f35198b34f279552fba66a685987b8c56da36024f0866"),
+)
+
+
+class TestCycleTextPins:
+    @pytest.mark.parametrize(
+        "command, values, digest", CYCLE_TEXT_PINS, ids=[c for c, _, _ in CYCLE_TEXT_PINS]
+    )
+    def test_output_is_unchanged(self, capsys, command, values, digest):
+        h = hashlib.sha256()
+        for value in values:
+            h.update(json.dumps(list(run(capsys, *command.format(value).split()))).encode())
+        assert h.hexdigest() == digest
 
 
 class TestOrder:

@@ -21,7 +21,8 @@ from togglegroup import (
     unrank,
 )
 from togglegroup import families
-from togglegroup.graphs import _toggle_path_members
+from togglegroup.fibindex import rank_masks, unrank_masks
+from togglegroup.graphs import _toggle_path_members, toggle_path_masks
 
 
 class TestBlockSwap:
@@ -214,6 +215,15 @@ class TestTogglePermutation:
         for n in range(1, 21):
             for k in range(1, n + 1):
                 assert toggle_permutation(n, k) == generator(k, n)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_bit_plane_formula(self, n):
+        # the reference ranks every toggled set over all of its bit planes;
+        # toggle_permutation adds one vertex weight to the sets' own ranks
+        masks = unrank_masks(n)
+        for k in range(1, n + 1):
+            reference = rank_masks(toggle_path_masks(k, masks)).tolist()
+            assert toggle_permutation(n, k).images == tuple(reference)
 
     def test_matches_scalar_route_up_to_14(self):
         # one set at a time through unrank, the frozenset toggle and rank

@@ -201,6 +201,31 @@ def permutations(draw, max_degree=10):
 
 
 @st.composite
+def cycle_products(draw, max_degree=200):
+    """Disjoint cycles cut from a shuffled 1..m, m <= max_degree, with a
+    drawn cap on their length: a cap of 2 gives products of 2-cycles and
+    fixed points, like the family's involutions, a larger cap mixes
+    2-cycles with longer cycles."""
+    degree = draw(st.integers(min_value=1, max_value=max_degree))
+    points = draw(st.permutations(list(range(1, degree + 1))))
+    longest = draw(st.sampled_from([2, 3, 6, degree]))
+    cycles, i = [], 0
+    while i < degree:
+        length = draw(st.integers(min_value=1, max_value=longest))
+        cycles.append(points[i : i + length])
+        i += length
+    return Permutation.from_cycles([c for c in cycles if len(c) > 1], degree)
+
+
+def text_of_cycles(g):
+    # the cycle text written from the canonical decomposition, cycle by cycle
+    cycles = g.cycles()
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+
+
+@st.composite
 def permutation_pairs(draw, max_degree=10):
     degree = draw(st.integers(min_value=1, max_value=max_degree))
     first = draw(st.permutations(list(range(1, degree + 1))))
@@ -235,3 +260,23 @@ class TestProperties:
     @given(permutations())
     def test_cycle_text_round_trip(self, g):
         assert parse_cycles(format_cycles(g), g.degree) == g
+
+
+class TestFormatCycles:
+    """format_cycles writes the text in one pass over the image table; the
+    text of the decomposition that cycles() returns is its reference."""
+
+    @given(st.one_of(permutations(max_degree=200), cycle_products()))
+    def test_equals_the_text_of_the_decomposition(self, g):
+        assert format_cycles(g) == text_of_cycles(g)
+
+    @given(cycle_products())
+    def test_round_trip(self, g):
+        assert parse_cycles(format_cycles(g), g.degree) == g
+
+    @pytest.mark.parametrize(
+        "text, degree",
+        [("(1,3)(2,5,4)(6,7)", 8), ("(1,4,2)(3,6)", 6), ("(1,2)(3,4)", 5), ("(2,9)", 9)],
+    )
+    def test_pairs_between_longer_cycles(self, text, degree):
+        assert format_cycles(parse_cycles(text, degree)) == text
