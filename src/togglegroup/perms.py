@@ -153,8 +153,23 @@ class Permutation:
 
     def parity(self) -> int:
         """+1 for even permutations, -1 for odd ones."""
-        # a cycle of length l is a product of l-1 transpositions
-        return 1 if sum(len(c) - 1 for c in self.cycles()) % 2 == 0 else -1
+        # a cycle of length l is a product of l-1 transpositions, so the
+        # parity is that of the degree minus the number of cycles, fixed
+        # points included; one scan counts the cycles
+        img = self._img
+        seen = bytearray(len(img))
+        cycles = 0
+        for s in range(len(img)):
+            if seen[s]:
+                continue
+            # s is the smallest point of its cycle, so the scan never
+            # comes back to it
+            cycles += 1
+            j = img[s]
+            while j != s:
+                seen[j] = 1
+                j = img[j]
+        return 1 if (len(img) - cycles) % 2 == 0 else -1
 
     def extend(self, degree: int) -> "Permutation":
         """Embed into S_degree, fixing the new points."""

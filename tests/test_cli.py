@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,15 @@ from pathlib import Path
 import pytest
 
 import togglegroup
-from togglegroup import format_cycles, generator
-from togglegroup.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from togglegroup import cli, format_cycles, generator
+from togglegroup.cli import (
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -150,6 +159,23 @@ class TestGenerators:
         assert code == EXIT_OK
         assert built == list(range(1, count + 1))
         assert out.splitlines() == [format_cycles(generator(k, 9)) for k in built]
+
+    def test_text_is_printed_as_each_member_is_formatted(self, monkeypatch):
+        # when member k is built, the k-1 members before it are printed
+        # already; no member's text waits for the others
+        out = io.StringIO()
+        printed = []
+        real_generator = cli.generator
+
+        def counting_generator(k, n):
+            printed.append(out.getvalue().count("\n"))
+            return real_generator(k, n)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "generator", counting_generator)
+        assert main(["generators", "--n", "6"]) == EXIT_OK
+        assert printed == [0, 1, 2, 3, 4, 5]
+        assert out.getvalue().splitlines() == [format_cycles(g) for g in togglegroup.family(6)]
 
 
 # SHA-256 over json.dumps([exit code, stdout, stderr]) of each command line
@@ -375,6 +401,109 @@ class TestParserReuse:
         assert first[0] == EXIT_OK and first[1]
         assert run(capsys, *argv) == first
         assert fresh_process(*argv) == first
+
+
+# Well-formed requests: the command's own parser reads them
+WELL_FORMED_ARGVS = (
+    ("enumerate", "--n", "4"),
+    ("index", "--n", "40", "--set", "{1,3,17}"),
+    ("unindex", "--n", "6", "--idx", "11"),
+    ("toggle", "--n", "6", "--k", "3", "--set", "{1,5}"),
+    ("generators", "--n", "4"),
+    ("generators", "--n", "4", "--prime", "--format", "json"),
+    ("hat-t", "--n", "3"),
+    ("toggle-perm", "--n", "5", "--k", "2"),
+    ("order", "--n", "4"),
+    ("order", "--n", "4", "--toggles"),
+    ("order", "--n", "5", "--prime"),
+    ("order", "--n", "-1"),
+    ("verify", "--max-n", "3", "--format", "json"),
+    ("verify", "--max-n", "3", "--profile", "quick", "--claim", "intertwining"),
+    ("order", "--n=3"),
+    ("index", "--set={1,4}", "--n=4"),
+    ("order", "--n", "3", "--pri"),
+    ("verify", "--max", "3", "--cl", "golden-cases"),
+    ("order", "--n", "3", "--n", "4"),
+    ("index", "--n", "4", "--set", "{1}", "--set", "{1,4}"),
+    ("order", "--n", "3", "--format", "text", "--format", "json"),
+    ("generators", "--format", "json", "--n", "3"),
+    ("verify", "--max-n", "2", "--claim", "bogus"),
+)
+
+# requests that end in the top-level parser's usage, help or error, or in
+# a command parser's
+MALFORMED_ARGVS = (
+    (),
+    ("--help",),
+    ("-h",),
+    ("order", "--help"),
+    ("order", "--help", "--n", "x"),
+    ("order", "--n", "3", "-h"),
+    ("order", "--n", "3", "--bogus"),
+    ("order", "--n", "3", "extra"),
+    ("enumerate", "--n", "3", "--prime"),
+    ("order", "--n"),
+    ("order",),
+    ("index", "--n", "4"),
+    ("order", "--n", "x"),
+    ("toggle", "--n", "4", "--k", "٤", "--set", "{2}"),
+    ("--", "order", "--n", "3"),
+    ("order", "--", "--n", "3"),
+    ("order", "--n", "3", "--"),
+    ("bogus", "--n", "3"),
+    ("ord", "--n", "3"),
+    ("--format", "json", "order", "--n", "3"),
+    ("--n", "3", "order"),
+    ("order", "--n", "3", "--prime", "--toggles"),
+    ("verify", "--max-n", "3", "--profile", "slow"),
+    ("verify", "--max-n", "2", "--claim"),
+    ("order", "--n", "3", "order", "--n", "4"),
+)
+
+
+def full_parse(argv):
+    """The route every request took before: one parse by a fresh top-level
+    parser, which picks the command's parser and hands it the rest."""
+    return build_parser().parse_args(argv)
+
+
+class TestDispatch:
+    """A request that starts with a command name is parsed by that
+    command's parser alone; what it prints and returns is what the full
+    parse gives."""
+
+    @pytest.mark.parametrize(
+        "argv", WELL_FORMED_ARGVS + MALFORMED_ARGVS, ids=lambda argv: " ".join(argv) or "(none)"
+    )
+    def test_same_result_as_the_full_parse(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse", full_parse)
+        assert run(capsys, *argv) == got
+
+    @pytest.mark.parametrize("argv", WELL_FORMED_ARGVS, ids=" ".join)
+    def test_same_namespace_as_the_full_parse(self, argv):
+        assert cli._parse(list(argv)) == full_parse(list(argv))
+
+    def test_well_formed_requests_skip_the_top_level_parse(self, capsys, monkeypatch):
+        real_parse_args = argparse.ArgumentParser.parse_args
+
+        def parse_args(parser, *args, **kwargs):
+            if parser.prog == "togglegroup":
+                raise AssertionError("the top-level parser parsed a well-formed request")
+            return real_parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+        assert run(capsys, "index", "--n", "4", "--set", "{1,4}") == (EXIT_OK, "7\n", "")
+        assert run(capsys, "order", "--n", "4") == (EXIT_OK, "40320\n", "")
+        assert run(capsys, "generators", "--n", "3") == (
+            EXIT_OK, "(1,2)(4,5)\n(1,3)\n(1,4)(2,5)\n", ""
+        )
+
+    def test_leftovers_are_reported_by_the_top_level_parser(self, capsys):
+        code, out, err = run(capsys, "order", "--n", "3", "--bogus")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == "togglegroup: error: unrecognized arguments: --bogus"
 
 
 # SHA-256 of json.dumps([exit code, stdout, stderr]) for each command line,

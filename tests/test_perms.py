@@ -257,6 +257,12 @@ class TestProperties:
         g, h = pair
         assert (g * h).parity() == g.parity() * h.parity()
 
+    @given(st.one_of(permutations(max_degree=200), cycle_products()))
+    def test_parity_counts_the_transpositions_of_the_cycles(self, g):
+        # the reference: a cycle of length l is l-1 transpositions
+        expected = 1 if sum(len(c) - 1 for c in g.cycles()) % 2 == 0 else -1
+        assert g.parity() == expected
+
     @given(permutations())
     def test_cycle_text_round_trip(self, g):
         assert parse_cycles(format_cycles(g), g.degree) == g

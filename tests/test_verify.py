@@ -221,6 +221,41 @@ class TestDiagonalGeneration:
             )
             assert report.counterexample == {"generator": format_cycles(generator(1, n))}
 
+    def test_checks_the_reduced_family_one_member_at_a_time(self, monkeypatch):
+        # the family is never built whole: from n = 4 on the first member
+        # fails and is the only one built, and at n = 3 the one member
+        # that passes is the chain's input
+        from togglegroup import generator
+        from togglegroup import verify
+
+        def whole_family(n):
+            raise AssertionError("the whole reduced family was built")
+
+        built, chain_inputs = [], []
+        real_build_chain = verify.build_chain
+
+        def counting_generator(k, n):
+            built.append((k, n))
+            return generator(k, n)
+
+        def recording_build_chain(generators, degree):
+            chain_inputs.append(list(generators))
+            return real_build_chain(generators, degree)
+
+        monkeypatch.setattr(verify, "prime_family", whole_family)
+        monkeypatch.setattr(verify, "generator", counting_generator)
+        monkeypatch.setattr(verify, "build_chain", recording_build_chain)
+        for n in range(4, 11):
+            built.clear()
+            assert verify_diagonal_generation(n).counterexample == {
+                "generator": format_cycles(generator(1, n))
+            }
+            assert built == [(1, n)]
+        built.clear()
+        assert verify_diagonal_generation(3).status == "pass"
+        assert built == [(1, 3)]
+        assert chain_inputs == [[generator(1, 3)]]
+
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_fails_above_four(self, n):
         assert verify_diagonal_generation(n).status == "fail"
