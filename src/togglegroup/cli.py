@@ -10,10 +10,7 @@ command's own parser, built once per process with the top-level parser.
 The top-level parse would only pick that parser by name and hand it the
 rest.  Every other request (no arguments, ``-h``, an unknown command, a
 leading ``--``), and one with arguments left over, takes the full parse,
-so usage, help and errors are the full parser's.  On the benchmark's
-``cli-queries`` mix (ten alternating pairs on a 2-core Xeon VM, Python
-3.11) this took the median request from 0.105 ms to 0.068 ms, lower in
-all ten pairs (``BENCH_08abfda.json``).
+so usage, help and errors are the full parser's.
 """
 
 from __future__ import annotations
@@ -121,17 +118,23 @@ def _cmd_toggle(args: argparse.Namespace) -> int:
 def _cmd_generators(args: argparse.Namespace) -> int:
     degree = _check_materializable(args.n)
     # one member at a time: at n = 26 the whole family's image tables take
-    # hundreds of MB, its text a fraction of that.  Text is printed as each
-    # member is formatted; JSON holds every member's text
+    # hundreds of MB, its text a fraction of that.  Each member's text is
+    # printed as it is formatted, in JSON between the head and the tail of
+    # the payload that _emit would write with an empty member list
     ks = _prime_family_ks(args.n) if args.prime else _family_ks(args.n)
     members = (format_cycles(generator(k, args.n)) for k in ks)
-    if args.format == "json":
-        members = list(members)
-    _emit(
-        args,
-        members,
-        {"n": args.n, "degree": degree, "prime": bool(args.prime), "members": members},
-    )
+    if args.format == "text":
+        for text in members:
+            print(text)
+        return EXIT_OK
+    payload = {"n": args.n, "degree": degree, "prime": bool(args.prime), "members": []}
+    head, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).split("[]")
+    print(head + "[", end="")
+    separator = ""
+    for text in members:
+        print(separator + json.dumps(text), end="")
+        separator = ","
+    print("]" + tail)
     return EXIT_OK
 
 

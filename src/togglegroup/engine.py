@@ -46,13 +46,14 @@ inverse is a product of stored inverses.  The transversal's dict is also
 the basic orbit's only record: its keys are the orbit points in discovery
 order.
 
-The loops around the compositions read single points (``ndarray.item``)
-and test orbit membership on the transversal's keys.  A sift looks at one
-base image per level, and the deep Schreier trees of these groups add a
-point or two per round of orbit closure: too little work per step to pay
-for a numpy call, which costs microseconds where a scalar read costs
-about a hundred nanoseconds.  Whole tables are compared as bytes for the
-same reason.
+The verified build only sees the groups a proof leaves open, which for
+the paper's families are small: degree 2..21 (the family at n <= 3, the
+reduced family at n <= 6).  Its tables are then a few dozen points, and a
+numpy call costs microseconds where a scalar read costs about a hundred
+nanoseconds.  So the loops around the compositions read single points
+(``ndarray.item``) and test orbit membership on the transversal's keys, a
+sift looks at one base image per level, and whole tables are compared as
+bytes.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ __all__ = [
     "jordan_certificate",
     "orbit",
 ]
-
-# worklist entries encode a (orbit point, generator index) pair as
-# point * _STRIDE + index; generator counts stay far below the stride
-_STRIDE = 1_000_000
 
 # the Jordan walk's seed, and the most generators it multiplies in; the
 # family's walks end after 21-134 steps for n = 4..12
@@ -119,8 +116,8 @@ class StabilizerChain:
         # point to p, so the stored table sends p back to the base point.
         # The keys are the basic orbit, in discovery order
         self._tinv: list[dict[int, np.ndarray]] = []
-        self._work: list[deque[int]] = []     # pending Schreier pairs per level
-        self._scanned: list[int] = []         # generators already closed over, per level
+        # pending (orbit point, generator index) Schreier pairs per level
+        self._work: list[deque[tuple[int, int]]] = []
 
         raws: list[np.ndarray] = []
         seen: set[bytes] = set()
@@ -133,16 +130,15 @@ class StabilizerChain:
         if proof is not None:
             self._write(raws, *proof[1:])
             return
-        # the verified build: every generator moves a base point, and level
-        # i holds the generators fixing the first i base points
+        # the verified build: level i holds the generators fixing the first
+        # i base points.  A generator joins every level up to the first whose
+        # base point it moves, opening that level when it fixes them all
         for r in raws:
-            if all(r[b] == b for b in self._base):
+            d = next((i for i, b in enumerate(self._base) if r.item(b) != b), None)
+            if d is None:
+                d = len(self._base)
                 self._append_level(r)
-        for r in raws:
             inv = _invert(r)
-            d = 0
-            while d < len(self._base) and r[self._base[d]] == self._base[d]:
-                d += 1
             for i in range(d + 1):
                 self._add_generator(i, r, inv)
         for i in range(len(self._base)):
@@ -223,7 +219,6 @@ class StabilizerChain:
         self._invs.append([])
         self._tinv.append({base_point: self._ident})
         self._work.append(deque())
-        self._scanned.append(0)
 
     def _add_generator(self, i: int, r: np.ndarray, inv: np.ndarray) -> None:
         # every (existing orbit point, new generator) pair needs a Schreier
@@ -232,36 +227,30 @@ class StabilizerChain:
         gi = len(self._gens[i])
         self._gens[i].append(r)
         self._invs[i].append(inv)
-        work = self._work[i]
-        for p in self._tinv[i]:
-            work.append(p * _STRIDE + gi)
-
-    def _adjoin_point(self, i: int, x: int, rep_inv: np.ndarray) -> None:
-        self._tinv[i][x] = rep_inv
-        base = x * _STRIDE
-        self._work[i].extend(range(base, base + len(self._gens[i])))
+        self._work[i].extend((p, gi) for p in self._tinv[i])
 
     def _extend_orbit(self, i: int) -> None:
         # close the basic orbit under the level's generators; existing
-        # transversal entries are kept, new points appended in scan order.
-        # Points scanned before only have to revisit generators added since;
-        # the points found after that are closed over in rounds, generator
-        # by generator.  The representative at s(p) is s composed after the
-        # one at p, so its inverse is the inverse at p composed after s^-1
+        # transversal entries are kept, new points appended in scan order,
+        # in rounds, generator by generator.  The orbit is already closed
+        # under every generator but the newest, so only that one finds new
+        # points in the first round.  The representative at s(p) is s
+        # composed after the one at p, so its inverse is the inverse at p
+        # composed after s^-1; each new point queues a pair per generator
         tinv = self._tinv[i]
         gens, invs = self._gens[i], self._invs[i]
-        first_new = self._scanned[i]
-        self._scanned[i] = len(gens)
+        work = self._work[i]
         chunk = list(tinv)
         while chunk:
             found = []
-            for s, si in zip(gens[first_new:], invs[first_new:]):
+            for s, si in zip(gens, invs):
                 for p in chunk:
                     x = s.item(p)
                     if x not in tinv:
-                        self._adjoin_point(i, x, tinv[p][si])
+                        tinv[x] = tinv[p][si]
+                        work.extend((x, gi) for gi in range(len(gens)))
                         found.append(x)
-            chunk, first_new = found, 0
+            chunk = found
 
     def _first_unwitnessed(self, i):
         # first pending Schreier generator of level i that does not sift to
@@ -277,7 +266,7 @@ class StabilizerChain:
         tinv = self._tinv[i]
         gens, invs = self._gens[i], self._invs[i]
         while work:
-            p, gi = divmod(work[0], _STRIDE)
+            p, gi = work[0]
             tx = tinv[gens[gi].item(p)]
             su_inv = tinv[p][invs[gi]]
             if su_inv.tobytes() == tx.tobytes():

@@ -59,9 +59,7 @@ def block_swap(n: int) -> Permutation:
 def generator(k: int, n: int) -> Permutation:
     """The k-th family member at size n, an involution in S_f(n+2), built
     afresh on each call by the recursion in the module docstring."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 1 <= k <= n:
+    if k not in _family_ks(n):
         raise ValueError(f"k must be in 1..{n}")
     return Permutation._from_raw(tuple(_member_row(k, n).tolist()))
 
@@ -139,16 +137,14 @@ def diagonal_embed(n: int, t: Permutation) -> Permutation:
     return wide * wide.conjugate(block_swap(n))
 
 
-def _toggle_table(
-    k: int, masks: np.ndarray, toggled: np.ndarray, ranks: np.ndarray
-) -> np.ndarray:
-    # the ranks of ``toggled``, the sets ``masks`` toggled at vertex k, from
-    # the sets' own ``ranks`` (0- or 1-based alike).  A rank is 1 + the sum
-    # of f(v+1) over the set's vertices and toggle k changes bit k-1 alone,
-    # so toggled - masks is 0 or ±2^(k-1), and the toggled set's rank is the
-    # set's own plus f(k+1) times that change in bit k-1: rank_masks of the
-    # toggled masks, in one pass over the table instead of one per bit plane
-    return ranks + fib(k + 1) * ((toggled - masks) >> (k - 1))
+def _toggle_table(k: int, masks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    # the ranks of the sets ``masks`` toggled at vertex k, from the sets' own
+    # ``ranks`` (0- or 1-based alike).  A rank is 1 + the sum of f(v+1) over
+    # the set's vertices and toggle k changes bit k-1 alone, so the toggled
+    # mask minus the set's is 0 or ±2^(k-1), and the toggled set's rank is
+    # the set's own plus f(k+1) times that change in bit k-1: rank_masks of
+    # the toggled masks, in one pass over the table instead of one per bit plane
+    return ranks + fib(k + 1) * ((toggle_path_masks(k, masks) - masks) >> (k - 1))
 
 
 def toggle_permutation(n: int, k: int) -> Permutation:
@@ -160,10 +156,8 @@ def toggle_permutation(n: int, k: int) -> Permutation:
     table of sets of rank 1..f(n+2) is ranked, toggled at once, and goes
     through the validating constructor.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 1 <= k <= n:
+    if k not in _family_ks(n):
         raise ValueError(f"k must be in 1..{n}")
     masks = unrank_masks(n)
-    table = _toggle_table(k, masks, toggle_path_masks(k, masks), rank_masks(masks))
+    table = _toggle_table(k, masks, rank_masks(masks))
     return Permutation(table.tolist())

@@ -33,7 +33,7 @@ __all__ = [
     "unrank_masks",
 ]
 
-# f(64) ~ 1.6e13 already dwarfs anything enumerable; requests past the
+# f(64) ~ 1.06e13 already dwarfs anything enumerable; requests past the
 # ceiling get a clear error instead of a runaway computation.
 FIB_CEILING = 64
 

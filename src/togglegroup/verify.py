@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 # quick keeps everything interactive; full covers the documented desk scale
-# (stabilizer chains are ample up to degree 377 = f(14))
 QUICK_ENUMERATION_CAP = 1000
 FULL_ENUMERATION_CAP = 1_000_000
 QUICK_CHAIN_DEGREE_CAP = 55
@@ -128,9 +127,7 @@ def _toggle_tables(n: int) -> Iterator[np.ndarray]:
     # to the identity)
     masks = unrank_masks(n)
     base = rank_masks(masks) - 1
-    return (
-        _toggle_table(k, masks, toggle_path_masks(k, masks), base) for k in range(1, n + 1)
-    )
+    return (_toggle_table(k, masks, base) for k in range(1, n + 1))
 
 
 def _override_rows(n: int, members: Sequence[Permutation]) -> list[np.ndarray]:
@@ -388,9 +385,7 @@ def verify_count_and_transitivity(n: int) -> VerificationReport:
         )
     # breadth-first search from the empty set (position 0) over positions,
     # a whole frontier per step, marking each reached position once
-    tables = [
-        _toggle_table(k, masks, toggle_path_masks(k, masks), base) for k in range(1, n + 1)
-    ]
+    tables = [_toggle_table(k, masks, base) for k in range(1, n + 1)]
     seen = np.zeros(expected, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)

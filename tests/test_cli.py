@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import togglegroup
-from togglegroup import cli, format_cycles, generator
+from togglegroup import cli, fib, format_cycles, generator
 from togglegroup.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -83,6 +83,15 @@ class TestIndexing:
         code, _, _ = run(capsys, "unindex", "--n", "3", "--idx", "6")
         assert code == EXIT_USAGE
 
+    def test_n_at_the_fibonacci_ceiling_is_ranked(self, capsys):
+        # f(64) is the last Fibonacci number the package computes
+        assert run(capsys, "index", "--n", "62", "--set", "{}") == (EXIT_OK, "1\n", "")
+
+    def test_n_past_the_fibonacci_ceiling_is_a_resource_bound(self, capsys):
+        assert run(capsys, "index", "--n", "63", "--set", "{}") == (
+            EXIT_RESOURCE, "", "resource bound: Fibonacci index 65 exceeds ceiling 64\n"
+        )
+
 
 class TestToggle:
     def test_add(self, capsys):
@@ -121,6 +130,42 @@ class TestGenerators:
         payload = json.loads(out)
         assert payload["degree"] == 5
         assert payload["members"] == ["(1,2)(4,5)", "(1,3)", "(1,4)(2,5)"]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("prime", [False, True])
+    def test_json_is_the_compact_sorted_dump(self, capsys, n, prime):
+        # the members are written one at a time, in the bytes the whole
+        # payload's dump would give; a reduced family below n = 3 prints nothing
+        argv = ["generators", "--n", str(n), "--format", "json"] + ["--prime"] * prime
+        if prime and n < 3:
+            expected = (EXIT_USAGE, "", "error: the reduced family needs n >= 3\n")
+        else:
+            members = togglegroup.prime_family(n) if prime else togglegroup.family(n)
+            payload = {
+                "n": n, "degree": fib(n + 2), "prime": prime,
+                "members": [format_cycles(g) for g in members],
+            }
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            expected = (EXIT_OK, text + "\n", "")
+        assert run(capsys, *argv) == expected
+
+    def test_json_is_printed_as_each_member_is_formatted(self, monkeypatch):
+        # when member k is built, the payload's head and the k-1 members
+        # before it are printed already
+        out = io.StringIO()
+        printed = []
+        real_generator = cli.generator
+
+        def recording_generator(k, n):
+            printed.append(out.getvalue())
+            return real_generator(k, n)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "generator", recording_generator)
+        assert main(["generators", "--n", "6", "--format", "json"]) == EXIT_OK
+        members = [json.dumps(format_cycles(g)) for g in togglegroup.family(6)]
+        head = '{"degree":21,"members":['
+        assert printed == [head + ",".join(members[:k]) for k in range(6)]
 
     def test_block_swap_command(self, capsys):
         code, out, _ = run(capsys, "hat-t", "--n", "4")
@@ -283,6 +328,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "3", "--profile", "quick")
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+    def test_quick_run_with_skips_exits_clean(self, capsys):
+        # only the full profile promises completeness; a quick skip is no failure
+        code, out, _ = run(capsys, "verify", "--max-n", "10", "--claim", "three-cycles")
+        assert code == EXIT_OK
+        assert out.strip().splitlines()[-1] == "5 passed, 0 failed, 2 skipped"
+
+    def test_full_run_without_skips_exits_clean(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "3", "--profile", "full")
+        assert code == EXIT_OK
+        assert out.strip().splitlines()[-1] == "14 passed, 0 failed, 0 skipped"
+
+    def test_max_n_at_the_fibonacci_ceiling_is_accepted(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "62", "--claim", "golden-cases")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.strip().splitlines()[-1] == "1 passed, 0 failed, 0 skipped"
+
+    def test_max_n_past_the_fibonacci_ceiling_is_a_resource_bound(self, capsys):
+        assert run(capsys, "verify", "--max-n", "63") == (
+            EXIT_RESOURCE, "", "resource bound: max-n 63 exceeds the Fibonacci ceiling\n"
+        )
 
     def test_claim_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "6", "--claim", "intertwining")

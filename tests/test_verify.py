@@ -368,11 +368,11 @@ class TestCountAndTransitivity:
         assert str(count) in report.details
 
     def test_stuck_toggle_fails_with_the_first_unreached_set(self, monkeypatch):
-        from togglegroup import verify
+        from togglegroup import families
 
-        toggle_path_masks = verify.toggle_path_masks
+        toggle_path_masks = families.toggle_path_masks
         monkeypatch.setattr(
-            verify, "toggle_path_masks",
+            families, "toggle_path_masks",
             lambda k, masks: masks if k == 1 else toggle_path_masks(k, masks),
         )
         assert verify_count_and_transitivity(6).text_line() == (
@@ -430,6 +430,45 @@ class TestCountAndTransitivity:
 class TestGoldenCases:
     def test_passes(self):
         assert verify_golden_cases().status == "pass"
+
+    def test_a_stuck_toggle_on_the_mask_route_fails_alone(self, monkeypatch):
+        # the members still agree with the traces; the masks alone are wrong
+        from togglegroup import verify
+
+        toggle_path_masks = verify.toggle_path_masks
+        monkeypatch.setattr(
+            verify, "toggle_path_masks",
+            lambda k, masks: masks if k == 1 else toggle_path_masks(k, masks),
+        )
+        assert verify_golden_cases().text_line() == (
+            "   FAIL golden-cases: small-size toggle trace mismatch [counterexample:"
+            " expected=2, k=1, member=2, n=1, set={}, toggled=1]"
+        )
+
+    def test_a_wrong_member_on_the_member_route_fails_alone(self, monkeypatch):
+        # the toggled masks still agree with the traces; the member alone is
+        # the identity
+        from togglegroup import verify
+
+        monkeypatch.setattr(verify, "generator", lambda k, n: Permutation.identity(fib(n + 2)))
+        assert verify_golden_cases().text_line() == (
+            "   FAIL golden-cases: small-size toggle trace mismatch [counterexample:"
+            " expected=2, k=1, member=1, n=1, set={}, toggled=2]"
+        )
+
+    def test_a_wrong_family_at_n_1_fails(self, monkeypatch):
+        # the block swap at n = 1 is still right; only the family is not
+        from togglegroup import verify
+
+        real_family = verify.family
+        monkeypatch.setattr(
+            verify, "family",
+            lambda n: (Permutation.identity(2),) if n == 1 else real_family(n),
+        )
+        assert verify_golden_cases().text_line() == (
+            "   FAIL golden-cases: family at n=1 is off [counterexample:"
+            " expected=['(1,2)'], got=['()'], n=1]"
+        )
 
 
 class TestVerifyAll:
