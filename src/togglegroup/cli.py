@@ -5,6 +5,11 @@ families, exact group orders and the verification harness.  Exit codes:
 0 success (or all claims passed), 1 verification failure, 2 usage error,
 3 resource bound exceeded.
 
+``_emit`` is the one writer, and it streams.  Text is printed line by line
+as it is made.  JSON is the payload's compact sorted dump; ``enumerate``
+and ``generators`` hand over the items of its one empty list in pieces,
+each printed as it is made, so neither holds its whole answer.
+
 A request whose first argument is a command name is parsed by that
 command's own parser, built once per process with the top-level parser.
 The top-level parse would only pick that parser by name and hand it the
@@ -31,8 +36,8 @@ from .families import (
     prime_family,
     toggle_permutation,
 )
-from .fibindex import FIB_CEILING, FibCeilingError, fib, rank, unrank
-from .graphs import enumerate_independent_sets, format_set_text, parse_set_text, toggle_path
+from .fibindex import FIB_CEILING, FibCeilingError, fib, rank, unrank, unrank_masks
+from .graphs import _mask_text, format_set_text, parse_set_text, toggle_path
 from .perms import _is_decimal, format_cycles
 # the CLI materializes permutations and enumerations, and builds chains,
 # up to the full verification profile's bounds
@@ -44,6 +49,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+_ENUMERATE_SLICE = 4096  # sets listed per slice of enumerate's masks
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class ResourceBoundError(RuntimeError):
@@ -74,23 +82,31 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
+def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload, item_lists=None) -> None:
+    # the one writer (see the module docstring): item_lists fill the payload's
+    # one empty list, each non-empty list printed as the inside of its own dump
+    if args.format == "text":
         for line in text_lines:
             print(line)
+    elif item_lists is None:
+        print(_dumps(payload))
+    else:
+        head, _, tail = _dumps(payload).partition("[]")
+        print(head + "[", end="")
+        for i, items in enumerate(item_lists):
+            print("," * (i > 0) + _dumps(items)[1:-1], end="")
+        print("]" + tail)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_materializable(args.n)
-    sets = enumerate_independent_sets(args.n)
-    rows = [(i + 1, format_set_text(s)) for i, s in enumerate(sets)]
-    _emit(
-        args,
-        [f"{idx} {text}" for idx, text in rows],
-        [{"index": idx, "set": text} for idx, text in rows],
-    )
+    # a slice of the rank-ordered masks at a time, each set's text written
+    # as it is printed: the listing is never held whole, as sets or as text
+    masks, size = unrank_masks(args.n), _ENUMERATE_SLICE
+    slices = (enumerate(masks[i : i + size].tolist(), i + 1) for i in range(0, len(masks), size))
+    lines = (f"{idx} {_mask_text(mask)}" for rows in slices for idx, mask in rows)
+    items = ([{"index": idx, "set": _mask_text(mask)} for idx, mask in rows] for rows in slices)
+    _emit(args, lines, [], items)
     return EXIT_OK
 
 
@@ -117,24 +133,12 @@ def _cmd_toggle(args: argparse.Namespace) -> int:
 
 def _cmd_generators(args: argparse.Namespace) -> int:
     degree = _check_materializable(args.n)
-    # one member at a time: at n = 26 the whole family's image tables take
-    # hundreds of MB, its text a fraction of that.  Each member's text is
-    # printed as it is formatted, in JSON between the head and the tail of
-    # the payload that _emit would write with an empty member list
+    # one member at a time, its text printed as it is formatted (in JSON as a
+    # list of one): at n = 26 the whole family's image tables take hundreds of MB
     ks = _prime_family_ks(args.n) if args.prime else _family_ks(args.n)
     members = (format_cycles(generator(k, args.n)) for k in ks)
-    if args.format == "text":
-        for text in members:
-            print(text)
-        return EXIT_OK
     payload = {"n": args.n, "degree": degree, "prime": bool(args.prime), "members": []}
-    head, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).split("[]")
-    print(head + "[", end="")
-    separator = ""
-    for text in members:
-        print(separator + json.dumps(text), end="")
-        separator = ","
-    print("]" + tail)
+    _emit(args, members, payload, ([text] for text in members))
     return EXIT_OK
 
 
@@ -155,9 +159,7 @@ def _cmd_toggle_perm(args: argparse.Namespace) -> int:
 def _cmd_order(args: argparse.Namespace) -> int:
     degree = _check_materializable(args.n)
     if degree > FULL_CHAIN_DEGREE_CAP:
-        raise ResourceBoundError(
-            f"degree {degree} exceeds the chain bound {FULL_CHAIN_DEGREE_CAP}"
-        )
+        raise ResourceBoundError(f"degree {degree} exceeds the chain bound {FULL_CHAIN_DEGREE_CAP}")
     if args.prime:
         generators = prime_family(args.n)
     elif args.toggles:
@@ -178,18 +180,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ResourceBoundError(f"max-n {args.max_n} exceeds the Fibonacci ceiling")
     claims = None if args.claim is None else [args.claim]
     if claims and claims[0] not in all_claim_ids():
-        print(
-            f"unknown claim {claims[0]!r}; valid: {', '.join(all_claim_ids())}",
-            file=sys.stderr,
-        )
+        valid = ", ".join(all_claim_ids())
+        print(f"unknown claim {claims[0]!r}; valid: {valid}", file=sys.stderr)
         return EXIT_USAGE
     reports = verify_all(args.max_n, profile=args.profile, claims=claims)
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for r in reports:
-        counts[r.status] += 1
-    summary = (
-        f"{counts['pass']} passed, {counts['fail']} failed, {counts['skipped']} skipped"
-    )
+    counts = {s: sum(r.status == s for r in reports) for s in ("pass", "fail", "skipped")}
+    summary = f"{counts['pass']} passed, {counts['fail']} failed, {counts['skipped']} skipped"
     _emit(
         args,
         [r.text_line() for r in reports] + [summary],
@@ -276,10 +272,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    # A command name first: the top-level parser would only pick that
-    # command's subparser and hand it the rest, so hand it over directly
-    # and set the command as the subparsers action does.  Anything else,
-    # and leftover arguments, take the full parse, for its usage and errors
+    # the command's own parser first, as the module docstring says; it sets
+    # the command as the subparsers action would
     parser, commands = _parsers()
     sub = commands.get(argv[0]) if argv else None
     if sub is not None:

@@ -4,7 +4,8 @@ Toggling vertex k of an independent set removes k when it is present,
 adds it when neither neighbour k-1 nor k+1 is present, and otherwise
 leaves the set unchanged.  One set at a time is a frozenset of its
 vertices; a whole table of sets is an int64 array of bitmasks (bit v-1
-for vertex v), toggled at once by :func:`toggle_path_masks`.
+for vertex v), toggled at once by :func:`toggle_path_masks`, and each
+mask is written in the canonical set text by ``_mask_text``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ def toggle_path(n: int, k: int, members: Iterable[int]) -> frozenset[int]:
 def format_set_text(members: Iterable[int]) -> str:
     """Canonical set text: ``{}`` or ``{v1,v2,...}`` ascending, no spaces."""
     return "{" + ",".join(map(str, sorted(members))) + "}"
+
+
+def _mask_text(mask: int) -> str:
+    # bit v-1 stands for vertex v; the loop visits only the set bits, lowest first
+    vertices = []
+    while mask > 0:
+        vertices.append((mask & -mask).bit_length())
+        mask &= mask - 1
+    return format_set_text(vertices)
 
 
 def parse_set_text(text: str) -> frozenset[int]:

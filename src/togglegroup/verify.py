@@ -35,7 +35,7 @@ from .families import (
     prime_family,
 )
 from .fibindex import fib, rank, rank_masks, unrank, unrank_masks
-from .graphs import format_set_text, toggle_path_masks
+from .graphs import _mask_text, format_set_text, toggle_path_masks
 from .perms import DegreeMismatchError, Permutation, format_cycles
 
 __all__ = [
@@ -442,11 +442,6 @@ _GOLDEN_TOGGLE_TRACES = (
     (2, 2, "{1}", 2, 2),
     (2, 2, "{2}", 3, 1),
 )
-
-
-def _mask_text(mask: int) -> str:
-    # bit v-1 stands for vertex v
-    return format_set_text(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def verify_golden_cases() -> VerificationReport:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,54 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "40")
         assert code == EXIT_RESOURCE
         assert "resource bound" in err
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_json_is_the_compact_sorted_dump(self, capsys, n):
+        # the rows are written a slice at a time, in the bytes the whole
+        # listing's dump would give
+        rows = [
+            {"index": i, "set": togglegroup.format_set_text(s)}
+            for i, s in enumerate(togglegroup.enumerate_independent_sets(n), start=1)
+        ]
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        got = run(capsys, "enumerate", "--n", str(n), "--format", "json")
+        assert got == (EXIT_OK, text + "\n", "")
+
+    @pytest.mark.parametrize("n, code", [("0", EXIT_USAGE), ("40", EXIT_RESOURCE)])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rejected_n_prints_nothing(self, capsys, n, code, fmt):
+        # the request is checked before the first byte is written
+        got, out, err = run(capsys, "enumerate", "--n", n, "--format", fmt)
+        assert (got, out) == (code, "")
+        assert err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rows_are_printed_as_each_set_is_formatted(self, monkeypatch, fmt):
+        # in text, when the set of rank j is formatted the j-1 rows before it
+        # are printed already; in JSON, every whole slice before its own
+        out = io.StringIO()
+        printed = []
+        real_mask_text = cli._mask_text
+
+        def recording_mask_text(mask):
+            printed.append(out.getvalue())
+            return real_mask_text(mask)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "_mask_text", recording_mask_text)
+        monkeypatch.setattr(cli, "_ENUMERATE_SLICE", 3)
+        assert main(["enumerate", "--n", "5", "--format", fmt]) == EXIT_OK
+        sets = [togglegroup.format_set_text(s) for s in togglegroup.enumerate_independent_sets(5)]
+        if fmt == "text":
+            lines = [f"{i} {text}\n" for i, text in enumerate(sets, start=1)]
+            expected = ["".join(lines[:j]) for j in range(13)]
+        else:
+            rows = [
+                json.dumps({"index": i, "set": text}, separators=(",", ":"))
+                for i, text in enumerate(sets, start=1)
+            ]
+            expected = ["[" + ",".join(rows[: j - j % 3]) for j in range(13)]
+        assert printed == expected
 
 
 class TestIndexing:
@@ -631,3 +680,42 @@ class TestOutputPins:
         got = run(capsys, *command.split())
         assert got[0] == code
         assert hashlib.sha256(json.dumps(list(got)).encode()).hexdigest() == digest
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    # each "$ togglegroup ..." line of README's command-line block, as argv,
+    # with the lines printed under it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ togglegroup "):
+            examples.append((shlex.split(line[2:], comments=True)[1:], []))
+        elif line.strip() and examples:
+            examples[-1][1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadme:
+    def test_every_command_has_an_example(self):
+        commands = {argv[0] for argv, _ in README_EXAMPLES}
+        assert commands == set(cli._parsers()[1])
+
+    @pytest.mark.parametrize(
+        "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+    )
+    def test_example_prints_what_the_readme_shows(self, capsys, argv, expected):
+        # an elided example ("...") is compared on the lines around the gap
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        lines, stripped = out.splitlines(), [line.strip() for line in expected]
+        if "..." in stripped:
+            gap = stripped.index("...")
+            tail = expected[gap + 1 :]
+            assert lines[:gap] == expected[:gap]
+            assert lines[len(lines) - len(tail) :] == tail
+        else:
+            assert lines == expected
