@@ -6,11 +6,9 @@ counterexample.  ``verify_all`` runs every applicable check up to a size
 bound under a resource profile; checks that would blow the profile's
 bounds come back ``skipped``, never silently passed.
 
-Verifiers take an override so that test suites can inject faults and
-confirm the checks actually catch them: ``members`` for the path checks,
-``generators`` for ``diagonal-generation``, which checks its inputs before
-it builds any chain, and ``chain=build_chain(faulty, degree)`` for the two
-checks that otherwise pass on the family's Jordan certificate or chain.
+Every verifier takes the size alone; a fault goes in by rebinding a
+module-level name it looks up (``_member_row``, ``_toggle_tables``,
+``family``, ``jordan_certificate``), so it meets the checks a real run does.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .families import (
 )
 from .fibindex import fib, rank, rank_masks, unrank, unrank_masks
 from .graphs import _mask_text, format_set_text, toggle_path_masks
-from .perms import DegreeMismatchError, Permutation, format_cycles
+from .perms import Permutation, format_cycles
 
 __all__ = [
     "FULL_CHAIN_DEGREE_CAP",
@@ -122,41 +120,36 @@ def _failed(claim_id: str, n: Optional[int], details: str, counterexample: dict)
 def _toggle_tables(n: int) -> Iterator[np.ndarray]:
     # the 0-based image table of each toggle on rank positions, k = 1..n.
     # The tables go straight from the bitmasks, not through the validating
-    # Permutation constructor: a verifier reads a table only as far as its
-    # own check proves it a bijection (equality with a member, or squaring
-    # to the identity)
+    # Permutation constructor, so an entry may lie outside 0..f(n+2)-1 until
+    # a check proves otherwise: intertwining compares it with a member's
+    # entry, and coxeter-relations checks the range before squaring a table
     masks = unrank_masks(n)
     base = rank_masks(masks) - 1
     return (_toggle_table(k, masks, base) for k in range(1, n + 1))
 
 
-def _override_rows(n: int, members: Sequence[Permutation]) -> list[np.ndarray]:
-    # the 0-based image tables of a members= override that stands for the
-    # family at size n
-    if len(members) != n:
-        raise ValueError(f"members has {len(members)} permutations, not n = {n}")
-    return [np.array(p._img) for p in members]
+def _first_out_of_range(table: np.ndarray, count: int) -> Optional[int]:
+    # the first position of a 0-based table whose entry is not a position
+    # 0..count-1, or None; a table in range costs one min and one max
+    if table.min() >= 0 and table.max() < count:
+        return None
+    return int(np.flatnonzero((table < 0) | (table >= count))[0])
 
 
-def verify_intertwining(
-    n: int, members: Optional[Sequence[Permutation]] = None
-) -> VerificationReport:
+def verify_intertwining(n: int) -> VerificationReport:
     """rank(toggle_k(I)) == member_k(rank(I)) for every k and every I.
 
     Exhaustive over all f(n+2) independent sets and all n toggles: for each
     k the toggle's table of ranks is compared image by image with the
     member, and the first disagreement in k-then-rank order is the
-    counterexample.  A member that agrees on every rank but still differs
-    (it has another degree) fails as a whole permutation.  The family's
-    members are built one k at a time, as image tables.
+    counterexample.  A member that agrees on every rank it has but acts on
+    another degree fails with the two degrees.  The family's members are
+    built one k at a time, as image tables.
     """
     claim = "intertwining"
     if n < 1:
         raise ValueError("n must be at least 1")
-    if members is None:
-        rows = (_member_row(k, n) for k in range(1, n + 1))
-    else:
-        rows = _override_rows(n, members)
+    rows = (_member_row(k, n) for k in range(1, n + 1))
     count = fib(n + 2)
     for k, (table, row) in enumerate(zip(_toggle_tables(n), rows), start=1):
         got = row[:count]
@@ -181,11 +174,7 @@ def verify_intertwining(
                 claim,
                 n,
                 f"induced permutation differs from the family member at k={k}",
-                {
-                    "k": k,
-                    "induced": format_cycles(Permutation((table + 1).tolist())),
-                    "member": format_cycles(Permutation._from_raw(tuple(row.tolist()))),
-                },
+                {"k": k, "induced_degree": count, "member_degree": len(row)},
             )
     return _passed(
         claim, n,
@@ -193,38 +182,30 @@ def verify_intertwining(
     )
 
 
-def _family_chain(
-    n: int, chain: Optional[StabilizerChain], certificate: object, symmetric: bool
-) -> Optional[StabilizerChain]:
-    # the chain to read at size n: None when the family's Jordan certificate
-    # proves A_f(n+2) (and has an odd generator, for S_f(n+2), if symmetric)
+def _family_chain(n: int, certificate: object, symmetric: bool) -> Optional[StabilizerChain]:
+    # the family chain to read at size n: None when the family's Jordan
+    # certificate proves A_f(n+2) (and has an odd generator, for S_f(n+2),
+    # if symmetric)
     degree = fib(n + 2)
-    if chain is None:
-        if certificate is _UNSET:
-            certificate = jordan_certificate(family(n), degree)
-        if certificate is not None and (certificate.odd_generator or not symmetric):
-            return None
-        return build_chain(family(n), degree)
-    if chain.degree != degree:
-        raise DegreeMismatchError(f"chain of degree {chain.degree} does not act on 1..{degree}")
-    return chain
+    if certificate is _UNSET:
+        certificate = jordan_certificate(family(n), degree)
+    if certificate is not None and (certificate.odd_generator or not symmetric):
+        return None
+    return build_chain(family(n), degree)
 
 
-def verify_symmetric_generation(
-    n: int, *, chain: Optional[StabilizerChain] = None, _certificate: object = _UNSET
-) -> VerificationReport:
+def verify_symmetric_generation(n: int, *, _certificate: object = _UNSET) -> VerificationReport:
     """The family at size n generates all of S_f(n+2).
 
     It passes on a Jordan certificate with an odd generator, else reads the
-    family chain, or the passed ``chain``, which must act on 1..f(n+2).
-    ``_certificate`` is the family's certificate when :func:`verify_all`
-    has computed it already.
+    family chain.  ``_certificate`` is the family's certificate when
+    :func:`verify_all` has computed it already.
     """
     claim = "symmetric-generation"
     if n < 1:
         raise ValueError("n must be at least 1")
     degree = fib(n + 2)
-    chain = _family_chain(n, chain, _certificate, symmetric=True)
+    chain = _family_chain(n, _certificate, symmetric=True)
     if chain is None or chain.is_full_symmetric():
         return _passed(claim, n, f"group order is {degree}! = {math.factorial(degree)}")
     counter: dict = {"order": str(chain.order()), "expected": str(math.factorial(degree))}
@@ -236,37 +217,32 @@ def verify_symmetric_generation(
     return _failed(claim, n, "generated group is a proper subgroup", counter)
 
 
-def verify_diagonal_generation(
-    n: int,
-    generators: Optional[Sequence[Permutation]] = None,
-) -> VerificationReport:
+def verify_diagonal_generation(n: int) -> VerificationReport:
     """Check the claim that the reduced family generates exactly the
     diagonal copy of S_f(n).
 
     The claim holds only at n = 3.  From n = 4 on the members with
     k < n-2 move the middle block {f(n)+1..f(n+1)}, the generated group is
     diag(S_f(n)) x Sym(middle block) of order f(n)!*f(n-1)!, and the check
-    fails with the first input generator that leaves the diagonal
-    subgroup.  Unless the inputs generate the whole symmetric group, that
-    is also the first such strong generator of their chain, whose first
-    level starts from the non-identity inputs in input order, so the
-    report names the same element without building the chain.
-    The claim is tested three ways: every input generator satisfies the
-    diagonal membership conditions (so every element of the group does),
-    the order is exactly f(n)!, and sampled diagonal elements all sift
-    into the chain, which is only built once the inputs pass.
+    fails with the first member that leaves the diagonal subgroup.  Unless
+    the members generate the whole symmetric group, that is also the first
+    such strong generator of their chain, whose first level starts from
+    the non-identity members in order, so the report names the same
+    element without building the chain.
+    The claim is tested three ways: every member satisfies the diagonal
+    membership conditions (so every element of the group does), the order
+    is exactly f(n)!, and sampled diagonal elements all sift into the
+    chain, which is only built once the members pass.
     """
     claim = "diagonal-generation"
     if n < 3:
         raise ValueError("n must be at least 3")
-    if generators is None:
-        # the reduced family one member at a time: from n = 4 on the first
-        # member fails, and the family's rows are never all held
-        generators = (generator(k, n) for k in _prime_family_ks(n))
     degree = fib(n + 2)
     spec = DiagonalSubgroupSpec(n)
     inside = []
-    for g in generators:
+    # the reduced family one member at a time: from n = 4 on the first
+    # member fails, and the family's rows are never all held
+    for g in (generator(k, n) for k in _prime_family_ks(n)):
         if not spec.contains(g):
             return _failed(
                 claim, n, "a strong generator leaves the diagonal subgroup",
@@ -299,19 +275,16 @@ def verify_diagonal_generation(
     )
 
 
-def verify_three_cycles(
-    n: int, *, chain: Optional[StabilizerChain] = None, _certificate: object = _UNSET
-) -> VerificationReport:
+def verify_three_cycles(n: int, *, _certificate: object = _UNSET) -> VerificationReport:
     """The generated group contains every consecutive 3-cycle (i,i+1,i+2).
 
     Any Jordan certificate passes it, as A_f(n+2) holds every 3-cycle.
-    ``chain`` and ``_certificate`` are as for
-    :func:`verify_symmetric_generation`.
+    ``_certificate`` is as for :func:`verify_symmetric_generation`.
     """
     claim = "three-cycles"
     if n < 4:
         raise ValueError("n must be at least 4")
-    chain = _family_chain(n, chain, _certificate, symmetric=False)
+    chain = _family_chain(n, _certificate, symmetric=False)
     missing = None if chain is None else chain.first_missing_three_cycle()
     if missing is not None:
         return _failed(
@@ -321,23 +294,21 @@ def verify_three_cycles(
     return _passed(claim, n, f"all {fib(n + 2) - 2} consecutive 3-cycles are members")
 
 
-def verify_coxeter_relations(
-    n: int, members: Optional[Sequence[Permutation]] = None
-) -> VerificationReport:
+def verify_coxeter_relations(n: int) -> VerificationReport:
     """Toggle relations on ranks: involutions, distant pairs commute, and
     adjacent products have order dividing 6."""
     claim = "coxeter-relations"
     if n < 1:
         raise ValueError("n must be at least 1")
-    # 0-based image tables, on which the table of p * q is p[q]
-    if members is None:
-        tables = list(_toggle_tables(n))
-    else:
-        tables = _override_rows(n, members)
-    ident = np.arange(fib(n + 2))
+    # 0-based image tables, on which the table of p * q is p[q]; p[p] is
+    # read only once p's entries are known to be positions
+    tables = list(_toggle_tables(n))
+    count = fib(n + 2)
+    ident = np.arange(count)
     for k in range(1, n + 1):
         p = tables[k - 1]
-        if p.shape != ident.shape or (p[p] != ident).any():
+        in_range = p.shape == ident.shape and _first_out_of_range(p, count) is None
+        if not in_range or (p[p] != ident).any():
             return _failed(claim, n, "a toggle is not an involution", {"k": k})
     for k in range(1, n + 1):
         for k2 in range(k + 2, n + 1):
@@ -383,9 +354,16 @@ def verify_count_and_transitivity(n: int) -> VerificationReport:
             claim, n, "enumeration is not the independent sets in rank order",
             {"index": i + 1, "rank": int(base[i]) + 1, "set": _mask_text(int(masks[i]))},
         )
+    tables = [_toggle_table(k, masks, base) for k in range(1, n + 1)]
+    for k, table in enumerate(tables, start=1):
+        i = _first_out_of_range(table, expected)
+        if i is not None:
+            return _failed(
+                claim, n, f"toggle at k={k} leaves the ranks 1..{expected}",
+                {"k": k, "set": _mask_text(int(masks[i])), "image": int(table[i]) + 1},
+            )
     # breadth-first search from the empty set (position 0) over positions,
     # a whole frontier per step, marking each reached position once
-    tables = [_toggle_table(k, masks, base) for k in range(1, n + 1)]
     seen = np.zeros(expected, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)

@@ -1,11 +1,21 @@
 """Shared test helpers: brute-force oracles kept independent of the library
-internals they check."""
+internals they check, and the seams through which a faulty family reaches
+``verify``."""
 
 from __future__ import annotations
 
 import random
 
-from togglegroup import Permutation
+import numpy as np
+
+from togglegroup import Permutation, verify
+
+
+def inject_family(monkeypatch, members) -> None:
+    """Make ``members`` the family that ``verify`` reads: the path checks'
+    ``_member_row`` and the chain claims' ``family``."""
+    monkeypatch.setattr(verify, "_member_row", lambda k, n: np.array(members[k - 1].images) - 1)
+    monkeypatch.setattr(verify, "family", lambda n: tuple(members))
 
 
 def brute_force_closure(generators, cap=10**6):

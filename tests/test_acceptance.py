@@ -18,7 +18,7 @@ import math
 import random
 import time
 
-from conftest import brute_force_closure, random_permutation
+from conftest import brute_force_closure, inject_family, random_permutation
 
 from togglegroup import (
     DiagonalSubgroupSpec,
@@ -207,7 +207,7 @@ def _entry_swaps(g: Permutation, degree: int):
                 yield Permutation.from_cycles(patched, degree)
 
 
-def test_criterion_8_negative_controls():
+def test_criterion_8_negative_controls(monkeypatch):
     with budget(8, "any single-entry fault in the n=3 family is caught", 5.0):
         base = family(3)
         perturbations = 0
@@ -217,10 +217,8 @@ def test_criterion_8_negative_controls():
                 assert fault != original
                 members = list(base)
                 members[i] = fault
-                reports = [
-                    verify_intertwining(3, members=members),
-                    verify_symmetric_generation(3, chain=build_chain(members, 5)),
-                ]
+                inject_family(monkeypatch, members)
+                reports = [verify_intertwining(3), verify_symmetric_generation(3)]
                 failing = [r for r in reports if r.status == "fail"]
                 assert failing, f"fault {format_cycles(fault)} at k={i + 1} went unnoticed"
                 assert all(r.counterexample is not None for r in failing)

@@ -1,15 +1,15 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import inject_family
 from togglegroup import (
-    DegreeMismatchError,
     Permutation,
     VerificationReport,
     all_claim_ids,
-    build_chain,
     fib,
     family,
     format_cycles,
@@ -53,6 +53,49 @@ def perturbed_family_3():
     return members
 
 
+def inject_toggles(monkeypatch, members):
+    # the toggle tables verify reads become the members' 0-based image tables
+    from togglegroup import verify
+
+    monkeypatch.setattr(
+        verify, "_toggle_tables", lambda n: (np.array(p.images) - 1 for p in members)
+    )
+
+
+def add_vertex(k, masks, real):
+    # toggles 2..5 always add their vertex, so a set without it can go to a
+    # rank past f(n+2)
+    return masks | (1 << (k - 1)) if 2 <= k <= 5 else real(k, masks)
+
+
+def inject_toggle_masks(monkeypatch, toggle):
+    # the toggle tables are built from toggle(k, masks, real toggle)
+    from togglegroup import families
+
+    real = families.toggle_path_masks
+    monkeypatch.setattr(families, "toggle_path_masks", lambda k, masks: toggle(k, masks, real))
+
+
+class TestSignatures:
+    def test_every_verifier_takes_the_size_alone(self):
+        # faults go in through verify's module names, never through arguments
+        from togglegroup import verify
+
+        giant = {verify_symmetric_generation, verify_three_cycles}
+        for name in verify.__all__:
+            fn = getattr(verify, name)
+            if not name.startswith("verify_") or fn is verify_all:
+                continue
+            params = inspect.signature(fn).parameters
+            if fn is verify_golden_cases:
+                assert list(params) == [], name
+                continue
+            assert [(p.name, p.kind) for p in params.values()] == [
+                ("n", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+                *([("_certificate", inspect.Parameter.KEYWORD_ONLY)] if fn in giant else []),
+            ], name
+
+
 class TestReportType:
     def test_failing_report_needs_counterexample(self):
         with pytest.raises(ValueError):
@@ -80,26 +123,41 @@ class TestIntertwining:
         assert report.status == "pass"
         assert report.n == n
 
-    def test_injected_fault_fails_with_counterexample(self):
-        report = verify_intertwining(3, members=perturbed_family_3())
+    def test_injected_fault_fails_with_counterexample(self, monkeypatch):
+        inject_family(monkeypatch, perturbed_family_3())
+        report = verify_intertwining(3)
         assert report.status == "fail"
         assert report.text_line() == (
             "   FAIL intertwining n=3: toggle at k=2 disagrees with the family member"
             " [counterexample: expected=3, got=2, index=1, k=2, set={}]"
         )
 
-    def test_member_of_another_degree_fails_whole(self):
-        members = list(family(3))
-        members[0] = members[0].extend(6)
-        report = verify_intertwining(3, members=members)
-        assert report.counterexample == {
-            "k": 1, "induced": "(1,2)(4,5)", "member": "(1,2)(4,5)"
-        }
+    @staticmethod
+    def report_with_member(monkeypatch, n, k, fault):
+        # verify_intertwining(n) with member k's row passed through fault
+        from togglegroup import verify
 
-    @pytest.mark.parametrize("members", [family(3)[:2], family(3) + family(3)])
-    def test_override_of_another_length_is_rejected(self, members):
-        with pytest.raises(ValueError, match=f"members has {len(members)} permutations, not n = 3"):
-            verify_intertwining(3, members=members)
+        real_row = verify._member_row
+        monkeypatch.setattr(
+            verify, "_member_row", lambda j, m: fault(real_row(j, m)) if j == k else real_row(j, m)
+        )
+        return verify_intertwining(n)
+
+    def test_member_of_another_degree_fails_whole(self, monkeypatch):
+        # member 1 at n = 3 gains a fixed point: it agrees on all 5 ranks
+        report = self.report_with_member(monkeypatch, 3, 1, lambda row: np.append(row, len(row)))
+        assert report.text_line() == (
+            "   FAIL intertwining n=3: induced permutation differs from the family member"
+            " at k=1 [counterexample: induced_degree=5, k=1, member_degree=6]"
+        )
+
+    def test_member_too_short_fails_whole(self, monkeypatch):
+        # member 2 at n = 4 loses its last entry: the 7 entries it has agree
+        report = self.report_with_member(monkeypatch, 4, 2, lambda row: row[:-1])
+        assert report.text_line() == (
+            "   FAIL intertwining n=4: induced permutation differs from the family member"
+            " at k=2 [counterexample: induced_degree=8, k=2, member_degree=7]"
+        )
 
     def test_family_route_builds_no_permutation(self, monkeypatch):
         # the members are compared as image tables, one k at a time
@@ -134,35 +192,37 @@ class TestSymmetricGeneration:
     def test_passes(self, n):
         assert verify_symmetric_generation(n).status == "pass"
 
-    def test_injected_fault_fails(self):
-        report = verify_symmetric_generation(3, chain=build_chain(perturbed_family_3(), 5))
+    def test_injected_fault_fails(self, monkeypatch):
+        inject_family(monkeypatch, perturbed_family_3())
+        report = verify_symmetric_generation(3)
         assert report.status == "fail"
         # the perturbed set fixes point 3, so some adjacent swap is missing
         assert "missing" in report.counterexample
-
-    def test_chain_of_another_degree_is_rejected(self):
-        # the n = 3 family chain acts on 1..5, not on the 8 sets of n = 4
-        with pytest.raises(DegreeMismatchError, match="chain of degree 5 does not act on 1..8"):
-            verify_symmetric_generation(4, chain=build_chain(family(3), 5))
-
-    def test_single_transposition_fails(self):
-        report = verify_symmetric_generation(
-            3, chain=build_chain([parse_cycles("(1,2)", 5)], 5)
+        assert report.text_line() == (
+            "   FAIL symmetric-generation n=3: generated group is a proper subgroup"
+            " [counterexample: expected=120, missing=(2,3), order=8]"
         )
+
+    def test_single_transposition_fails(self, monkeypatch):
+        inject_family(monkeypatch, [parse_cycles("(1,2)", 5)])
+        report = verify_symmetric_generation(3)
         assert report.status == "fail"
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_certificate_and_chain_give_the_same_reports(self, n, chain_degrees):
-        chain = build_chain(family(n), fib(n + 2))
-        by_chain = [verify_symmetric_generation(n, chain=chain)]
-        if n >= 4:
-            by_chain.append(verify_three_cycles(n, chain=chain))
-        by_certificate = [verify_symmetric_generation(n)]
-        if n >= 4:
-            by_certificate.append(verify_three_cycles(n))
-        assert by_certificate == by_chain
+    def test_certificate_and_chain_give_the_same_reports(self, n, monkeypatch, chain_degrees):
+        from togglegroup import verify
+
+        def reports():
+            return [verify_symmetric_generation(n)] + ([verify_three_cycles(n)] if n >= 4 else [])
+
+        by_certificate = reports()
         # from n = 4 on, the certificate decides both claims
         assert chain_degrees == ([] if n >= 4 else [fib(n + 2)])
+        # with no certificate, each claim reads its own family chain
+        monkeypatch.setattr(verify, "jordan_certificate", lambda generators, degree: None)
+        chain_degrees.clear()
+        assert reports() == by_certificate
+        assert chain_degrees == [fib(n + 2)] * len(by_certificate)
 
     def test_even_generators_fail_through_the_chain(self, monkeypatch, chain_degrees):
         # the certificate proves A_13 but has no odd generator, so the chain
@@ -286,18 +346,15 @@ class TestThreeCycles:
     def test_passes(self, n):
         assert verify_three_cycles(n).status == "pass"
 
-    def test_negative_control(self):
-        report = verify_three_cycles(4, chain=build_chain([parse_cycles("(1,2)", 8)], 8))
+    def test_negative_control(self, monkeypatch):
+        inject_family(monkeypatch, [parse_cycles("(1,2)", 8)])
+        report = verify_three_cycles(4)
         assert report.status == "fail"
         assert report.counterexample == {"cycle": "(1,2,3)"}
         assert report.text_line() == (
             "   FAIL three-cycles n=4: a consecutive 3-cycle is missing"
             " [counterexample: cycle=(1,2,3)]"
         )
-
-    def test_chain_of_another_degree_is_rejected(self):
-        with pytest.raises(DegreeMismatchError, match="chain of degree 8 does not act on 1..13"):
-            verify_three_cycles(5, chain=build_chain(family(4), 8))
 
     def test_needs_n_four(self):
         with pytest.raises(ValueError):
@@ -309,9 +366,10 @@ class TestCoxeterRelations:
     def test_passes(self, n):
         assert verify_coxeter_relations(n).status == "pass"
 
-    def test_injected_fault_fails(self):
+    def test_injected_fault_fails(self, monkeypatch):
         members = [parse_cycles("(1,2,3)", 5), parse_cycles("(1,3)", 5), parse_cycles("(1,4)(2,5)", 5)]
-        report = verify_coxeter_relations(3, members=members)
+        inject_toggles(monkeypatch, members)
+        report = verify_coxeter_relations(3)
         assert report.status == "fail"
         assert report.counterexample == {"k": 1}
 
@@ -328,15 +386,17 @@ class TestCoxeterRelations:
             ),
         ],
     )
-    def test_each_relation_fails_with_its_own_line(self, cycles, line):
-        members = [parse_cycles(text, 5) for text in cycles]
-        report = verify_coxeter_relations(3, members=members)
+    def test_each_relation_fails_with_its_own_line(self, monkeypatch, cycles, line):
+        inject_toggles(monkeypatch, [parse_cycles(text, 5) for text in cycles])
+        report = verify_coxeter_relations(3)
         assert report.text_line() == "   FAIL coxeter-relations n=3: " + line
 
-    @pytest.mark.parametrize("members", [family(3)[:2], family(3) + family(3)])
-    def test_override_of_another_length_is_rejected(self, members):
-        with pytest.raises(ValueError, match=f"members has {len(members)} permutations, not n = 3"):
-            verify_coxeter_relations(3, members=members)
+    def test_toggle_that_leaves_the_ranks_fails_as_no_involution(self, monkeypatch):
+        # p[p] would read past the end of toggle 2's table
+        inject_toggle_masks(monkeypatch, add_vertex)
+        assert verify_coxeter_relations(5).text_line() == (
+            "   FAIL coxeter-relations n=5: a toggle is not an involution [counterexample: k=2]"
+        )
 
 
 class TestToggleTables:
@@ -378,6 +438,29 @@ class TestCountAndTransitivity:
         assert verify_count_and_transitivity(6).text_line() == (
             "   FAIL count-transitivity n=6: toggles do not reach every independent"
             " set [counterexample: expected=21, missing={1}, reached=13]"
+        )
+
+    @pytest.mark.parametrize(
+        "toggle,line",
+        [
+            # {3,5}, rank 12, goes to 12 + f(3) = 14
+            (
+                add_vertex,
+                "toggle at k=2 leaves the ranks 1..13 [counterexample: image=14, k=2, set={3,5}]",
+            ),
+            # toggle 1 always takes 1 off the mask: {} goes to rank 0, which
+            # the walk would read as the last set
+            (
+                lambda k, masks, real: masks - 1 if k == 1 else real(k, masks),
+                "toggle at k=1 leaves the ranks 1..13 [counterexample: image=0, k=1, set={}]",
+            ),
+        ],
+        ids=["above", "below"],
+    )
+    def test_toggle_that_leaves_the_ranks_fails(self, monkeypatch, toggle, line):
+        inject_toggle_masks(monkeypatch, toggle)
+        assert verify_count_and_transitivity(5).text_line() == (
+            "   FAIL count-transitivity n=5: " + line
         )
 
     def test_enumeration_out_of_rank_order_fails(self, monkeypatch):
@@ -516,19 +599,21 @@ class TestVerifyAll:
             (r.claim_id, r.n, r.status, r.details) for r in second
         ]
 
-    def test_family_chains_only_below_the_jordan_range(self, chain_degrees):
+    def test_family_chains_only_below_the_jordan_range(self, monkeypatch, chain_degrees):
         # the Jordan certificate decides both chain claims from n = 4
-        # (degree 8) on; the chain route, one chain per n, gives the same
-        # reports at every n up to 12
+        # (degree 8) on; the chain route gives the same reports at every n
+        # up to 12
+        from togglegroup import verify
+
         claims = ["symmetric-generation", "three-cycles"]
-        expected = []
-        for n in range(1, 13):
-            chain = build_chain(family(n), fib(n + 2))
-            expected.append(verify_symmetric_generation(n, chain=chain))
-            if n >= 4:
-                expected.append(verify_three_cycles(n, chain=chain))
         reports = verify_all(12, "full", claims)
         assert chain_degrees == [2, 3, 5]
+        monkeypatch.setattr(verify, "jordan_certificate", lambda generators, degree: None)
+        expected = []
+        for n in range(1, 13):
+            expected.append(verify_symmetric_generation(n))
+            if n >= 4:
+                expected.append(verify_three_cycles(n))
         assert reports == sorted(expected, key=lambda r: (r.claim_id, r.n))
 
     def test_family_certificate_once_per_n(self, monkeypatch):
@@ -545,10 +630,8 @@ class TestVerifyAll:
         verify_all(12, "full", ["symmetric-generation", "three-cycles"])
         assert degrees == [fib(n + 2) for n in range(1, 13)]
 
-    def test_engineered_failure_is_caught(self):
+    def test_engineered_failure_is_caught(self, monkeypatch):
         # at least one verifier must flip on an injected fault
-        outcomes = [
-            verify_intertwining(3, members=perturbed_family_3()).status,
-            verify_symmetric_generation(3, chain=build_chain(perturbed_family_3(), 5)).status,
-        ]
+        inject_family(monkeypatch, perturbed_family_3())
+        outcomes = [verify_intertwining(3).status, verify_symmetric_generation(3).status]
         assert "fail" in outcomes
