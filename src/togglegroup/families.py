@@ -8,7 +8,10 @@ m-1 times t_k at m-2 conjugated into the top block.  The two factors move
 disjoint blocks, so the product is a concatenation of image tables: the
 table at m-1, then the table at m-2 shifted by f(m+1).  Every member, and
 ``block_swap(n)`` as the member with k = n, is built afresh from that one
-recursion on arrays; nothing is kept between calls.
+recursion on arrays; nothing is kept between calls.  The diagonal copy
+of S_f(n) is the same top-block step applied to one t of degree f(n):
+``diagonal_embed`` writes its table, and ``DiagonalSubgroupSpec.contains``
+asks whether g is the embedding of its own action on the low block.
 
 ``toggle_permutation`` builds the same permutations a second way, by
 conjugating the vertex toggles through the rank bijection; the two
@@ -90,11 +93,8 @@ def prime_family(n: int) -> tuple[Permutation, ...]:
 
 @dataclass(frozen=True)
 class DiagonalSubgroupSpec:
-    """Membership test for the diagonal copy of S_f(n) inside S_f(n+2).
-
-    A member acts on {1..f(n)}, repeats that action shifted by f(n+1) on
-    the top block, and fixes the middle block {f(n)+1..f(n+1)} pointwise.
-    """
+    """Membership in the diagonal copy of S_f(n) inside S_f(n+2): g is a
+    member when it is the :func:`diagonal_embed` of its own low action."""
 
     n: int
 
@@ -111,30 +111,23 @@ class DiagonalSubgroupSpec:
             raise DegreeMismatchError(
                 f"element of degree {g.degree} does not act on 1..{self.degree}"
             )
-        low, shift = fib(self.n), fib(self.n + 1)
-        for i in range(1, low + 1):
-            gi = g.apply(i)
-            if gi > low:
-                return False
-            if g.apply(i + shift) != gi + shift:
-                return False
-        return all(g.apply(i) == i for i in range(low + 1, shift + 1))
+        # only a g that keeps the low block acts there as a member of S_f(n)
+        head = g._img[: fib(self.n)]
+        return max(head) < len(head) and g == diagonal_embed(self.n, Permutation._from_raw(head))
 
 
 def diagonal_embed(n: int, t: Permutation) -> Permutation:
-    """Embed t of degree f(n) into S_f(n+2) as t * swap t swap^-1.
-
-    The image satisfies :meth:`DiagonalSubgroupSpec.contains`, and the map
-    is an injective homomorphism.
-    """
+    """Embed t of degree f(n) into S_f(n+2) as t * swap t swap^-1, the
+    recursion's top-block step applied to one t, written as one table: t on
+    the low block, the middle block fixed, t shifted by f(n+1) on the top.
+    The map is an injective homomorphism."""
     if n < 3:
         raise ValueError("diagonal embedding needs n >= 3")
-    if t.degree != fib(n):
-        raise DegreeMismatchError(
-            f"expected degree {fib(n)} for the low block, got {t.degree}"
-        )
-    wide = t.extend(fib(n + 2))
-    return wide * wide.conjugate(block_swap(n))
+    low, shift = fib(n), fib(n + 1)
+    if t.degree != low:
+        raise DegreeMismatchError(f"expected degree {low} for the low block, got {t.degree}")
+    img = t._img
+    return Permutation._from_raw(img + tuple(range(low, shift)) + tuple([x + shift for x in img]))
 
 
 def _toggle_table(k: int, masks: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -128,6 +128,11 @@ def _toggle_tables(n: int) -> Iterator[np.ndarray]:
     return (_toggle_table(k, masks, base) for k in range(1, n + 1))
 
 
+def _no_table(claim: str, n: int, k: int) -> VerificationReport:
+    # the report of a claim whose _toggle_tables ended before toggle k
+    return _failed(claim, n, f"toggle at k={k} has no table", {"k": k})
+
+
 def _first_out_of_range(table: np.ndarray, count: int) -> Optional[int]:
     # the first position of a 0-based table whose entry is not a position
     # 0..count-1, or None; a table in range costs one min and one max
@@ -149,9 +154,13 @@ def verify_intertwining(n: int) -> VerificationReport:
     claim = "intertwining"
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = (_member_row(k, n) for k in range(1, n + 1))
     count = fib(n + 2)
-    for k, (table, row) in enumerate(zip(_toggle_tables(n), rows), start=1):
+    tables = iter(_toggle_tables(n))
+    for k in range(1, n + 1):
+        table = next(tables, None)
+        if table is None:
+            return _no_table(claim, n, k)
+        row = _member_row(k, n)
         got = row[:count]
         expected = table[: len(got)]
         mismatches = np.flatnonzero(expected != got)
@@ -306,6 +315,8 @@ def verify_coxeter_relations(n: int) -> VerificationReport:
     count = fib(n + 2)
     ident = np.arange(count)
     for k in range(1, n + 1):
+        if k > len(tables):
+            return _no_table(claim, n, k)
         p = tables[k - 1]
         in_range = p.shape == ident.shape and _first_out_of_range(p, count) is None
         if not in_range or (p[p] != ident).any():

@@ -669,6 +669,9 @@ OUTPUT_PINS = (
     ("order --n 6 --toggles --format json", 0, "53ef7576543804d2a8ad597ffdc18dddda657f8367c93b907f17b7b859c85362"),
     ("index --n 4 --set {2,3}", 2, "9f04a848204286e4b474643aaef32196fd732e34da5b7e0c29c35855d9f76194"),
     ("enumerate --n 40", 3, "c7a724602de20db33944408a15a78a4ecc238b4dc31c91fc1072c34dba3f157b"),
+    ("order --n 13", 3, "12ea43edc024ed7e9642a0ad6834e049d701bad3f4083e2e8b77ac4fdc001dec"),
+    ("unindex --n 4 --idx 9", 2, "9950607f237dae942c297a793be4ce95e8ff98771e21c2b039233f57eb616bfa"),
+    ("index --n 4 --set {1,1}", 2, "6df203e3f92353bff8c568f08dc0a10e5b04d2d6bc761b3327f8d18c4a739899"),
 )
 
 

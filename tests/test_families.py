@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -124,6 +125,19 @@ class TestGenerators:
             assert all(generator(n - 1, n).apply(i) == i for i in top)
 
 
+def _lows(n):
+    # every t in S_f(n) at n = 3, 4, and 20 seeded t at each larger n
+    if n <= 4:
+        return [Permutation(list(p)) for p in itertools.permutations(range(1, fib(n) + 1))]
+    rng = random.Random(n)
+    lows = []
+    for _ in range(20):
+        images = list(range(1, fib(n) + 1))
+        rng.shuffle(images)
+        lows.append(Permutation(images))
+    return lows
+
+
 class TestDiagonalSubgroup:
     def test_reduced_member_is_diagonal_at_three(self):
         spec = DiagonalSubgroupSpec(3)
@@ -145,6 +159,33 @@ class TestDiagonalSubgroup:
         with pytest.raises(DegreeMismatchError):
             DiagonalSubgroupSpec(3).contains(Permutation.identity(6))
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_contains_each_embedding(self, n):
+        spec = DiagonalSubgroupSpec(n)
+        assert all(spec.contains(diagonal_embed(n, t)) for t in _lows(n))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rejects_a_low_point_sent_into_the_middle(self, n):
+        # the top block still repeats the low action, so only the low block
+        # leaving itself is wrong
+        low, degree = fib(n), fib(n + 2)
+        into_middle = Permutation.from_cycles([(1, low + 1)], degree)
+        spec = DiagonalSubgroupSpec(n)
+        assert not any(spec.contains(into_middle * diagonal_embed(n, t)) for t in _lows(n))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rejects_two_top_points_swapped(self, n):
+        shift, degree = fib(n + 1), fib(n + 2)
+        top_swap = Permutation.from_cycles([(shift + 1, shift + 2)], degree)
+        spec = DiagonalSubgroupSpec(n)
+        assert not any(spec.contains(diagonal_embed(n, t) * top_swap) for t in _lows(n))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_rejects_two_middle_points_swapped(self, n):
+        low, degree = fib(n), fib(n + 2)
+        middle_swap = Permutation.from_cycles([(low + 1, low + 2)], degree)
+        assert not DiagonalSubgroupSpec(n).contains(middle_swap)
+
 
 class TestDiagonalEmbed:
     def test_worked_images(self):
@@ -153,6 +194,14 @@ class TestDiagonalEmbed:
 
     def test_identity_maps_to_identity(self):
         assert diagonal_embed(3, Permutation.identity(2)) == Permutation.identity(5)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_is_the_papers_product(self, n):
+        # the recursion's top-block step applied to one t: t * swap t swap^-1
+        swap = block_swap(n)
+        for t in _lows(n):
+            wide = t.extend(fib(n + 2))
+            assert diagonal_embed(n, t) == wide * wide.conjugate(swap)
 
     def test_image_is_diagonal(self):
         rng = random.Random(2)
@@ -175,8 +224,6 @@ class TestDiagonalEmbed:
                 assert diagonal_embed(n, g * h) == diagonal_embed(n, g) * diagonal_embed(n, h)
 
     def test_injective_on_small_case(self):
-        import itertools
-
         images = {
             diagonal_embed(3, Permutation(list(p)))
             for p in itertools.permutations(range(1, 3))
@@ -201,6 +248,13 @@ class TestTogglePermutation:
     )
     def test_known_values(self, n, k, expected):
         assert format_cycles(toggle_permutation(n, k)) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_builds_without_a_warning(self, k):
+        # outside pytest a numpy warning, such as one for a division by a
+        # rank change of 0, would reach every command's standard error
+        assert toggle_permutation(6, k) == generator(k, 6)
 
     def test_row_by_row_against_enumeration(self):
         # direct toggling of each enumerated set, no rank calls

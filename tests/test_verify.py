@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 
@@ -60,6 +61,14 @@ def inject_toggles(monkeypatch, members):
     monkeypatch.setattr(
         verify, "_toggle_tables", lambda n: (np.array(p.images) - 1 for p in members)
     )
+
+
+def drop_last_toggle_table(monkeypatch):
+    # the toggle tables verify reads end one table early
+    from togglegroup import verify
+
+    real = verify._toggle_tables
+    monkeypatch.setattr(verify, "_toggle_tables", lambda n: itertools.islice(real(n), n - 1))
 
 
 def add_vertex(k, masks, real):
@@ -157,6 +166,13 @@ class TestIntertwining:
         assert report.text_line() == (
             "   FAIL intertwining n=4: induced permutation differs from the family member"
             " at k=2 [counterexample: induced_degree=8, k=2, member_degree=7]"
+        )
+
+    def test_short_toggle_tables_fail_at_the_first_missing_k(self, monkeypatch):
+        # 3 tables at n = 4 must not pass as 4 toggles checked
+        drop_last_toggle_table(monkeypatch)
+        assert verify_intertwining(4).text_line() == (
+            "   FAIL intertwining n=4: toggle at k=4 has no table [counterexample: k=4]"
         )
 
     def test_family_route_builds_no_permutation(self, monkeypatch):
@@ -396,6 +412,13 @@ class TestCoxeterRelations:
         inject_toggle_masks(monkeypatch, add_vertex)
         assert verify_coxeter_relations(5).text_line() == (
             "   FAIL coxeter-relations n=5: a toggle is not an involution [counterexample: k=2]"
+        )
+
+    def test_short_toggle_tables_fail_at_the_first_missing_k(self, monkeypatch):
+        # the relations are never read off a table that is not there
+        drop_last_toggle_table(monkeypatch)
+        assert verify_coxeter_relations(4).text_line() == (
+            "   FAIL coxeter-relations n=4: toggle at k=4 has no table [counterexample: k=4]"
         )
 
 
