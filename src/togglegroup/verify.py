@@ -314,9 +314,9 @@ def verify_coxeter_relations(n: int) -> VerificationReport:
     tables = list(_toggle_tables(n))
     count = fib(n + 2)
     ident = np.arange(count)
+    if len(tables) < n:
+        return _no_table(claim, n, len(tables) + 1)
     for k in range(1, n + 1):
-        if k > len(tables):
-            return _no_table(claim, n, k)
         p = tables[k - 1]
         in_range = p.shape == ident.shape and _first_out_of_range(p, count) is None
         if not in_range or (p[p] != ident).any():

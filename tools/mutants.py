@@ -1,4 +1,4 @@
-"""Seeded mutation testing of one togglegroup module against its tests.
+"""Mutation testing of one togglegroup module against its tests.
 
 Each mutant changes one operator or constant of ``src/togglegroup/<module>.py``:
 
@@ -21,24 +21,22 @@ again on the whole Tier-1 suite, and it survives only if that passes too.
 A survivor whose line and edit appear in ``EQUIVALENT`` is written down with
 the reason it cannot change behaviour; every other survivor wants a test.
 
-A run fills its module's entry of ``MUTANTS_<rev>.json`` (rev: the
-checkout's short HEAD; ``working_tree_changed`` is set when ``src`` or
-``tests`` differ from it) with the killed, survived and timed-out counts and
-each survivor's line and edit.
+A run runs every mutant and fills its module's entry of ``MUTANTS.json``
+with the SHA-256 of the module source it mutated, the killed, survived and
+timed-out counts, and each survivor's line and edit.
 
 Usage, from the root of the checkout (opt-in; not part of Tier-1 or CI):
 
     python tools/mutants.py families
-    python tools/mutants.py engine --sample 25 --seed 7
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
-import random
 import resource
 import shutil
 import subprocess
@@ -63,7 +61,12 @@ TESTS = {
 
 TIER1 = ("--continue-on-collection-errors",)
 TIMEOUT_S = 120  # per pytest run; a mutant that hangs counts as timed out
-MAX_MB = 2048  # address space per pytest run, so a runaway mutant fails early
+# Address space per pytest run.  The whole Tier-1 suite peaks at 1.8 GB
+# (VmPeak, Python 3.11, 2-core VM), while the families.py mutant that turns
+# `row[: fib(m)] + fib(m + 1)` into `-` passed 7 GB within a minute, long
+# before TIMEOUT_S.  BLAS runs one thread, so the figure does not grow with
+# the core count.
+MAX_MB = 3072
 
 # (module, stripped source line, column, edit): why the survivor is equivalent
 EQUIVALENT = {
@@ -173,7 +176,10 @@ def _pytest(checkout: Path, args: tuple[str, ...]) -> str:
     # "passed", "failed" or "timed out": one pytest run in the copy.  No
     # bytecode is written, so a mutant of the same size as the last one in
     # the same second is never read from a stale cache
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(
+        os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+    )
 
     def bound_memory() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (MAX_MB * 2**20, MAX_MB * 2**20))
@@ -189,29 +195,15 @@ def _pytest(checkout: Path, args: tuple[str, ...]) -> str:
     return "passed" if done.returncode == 0 else "failed"
 
 
-def _revision() -> tuple[str, bool]:
-    # the checkout's short HEAD, and whether its files differ from it
-    def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-        ).stdout.strip()
-
-    return git("rev-parse", "--short", "HEAD"), bool(git("status", "--porcelain", "--", "src", "tests"))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", choices=sorted(TESTS))
-    parser.add_argument("--sample", type=int, help="run this many mutants, drawn with --seed")
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
     relative = PACKAGE / f"{args.module}.py"
     source = (ROOT / relative).read_text()
     lines = source.splitlines()
     chosen = mutants(source)
-    if args.sample is not None and args.sample < len(chosen):
-        chosen = sorted(random.Random(args.seed).sample(chosen, args.sample))
 
     tests = TESTS[args.module]
     started = time.monotonic()
@@ -248,25 +240,22 @@ def main(argv: list[str] | None = None) -> int:
                 counts["killed" if outcome == "failed" else "timed_out"] += 1
             print(f"[{number}/{len(chosen)}] {relative}:{line}:{column}: {edit}: {outcome}", flush=True)
 
-    revision, changed = _revision()
     report = {
-        "working_tree_changed": changed,
+        "source_sha256": hashlib.sha256(source.encode()).hexdigest(),
         "python": sys.version.split()[0],
         "tests": list(tests),
         "timeout_s": TIMEOUT_S,
-        "sample": args.sample,
-        "seed": args.seed if args.sample is not None else None,
         "mutants": len(chosen),
         **counts,
         "equivalent": sum(s["equivalent"] is not None for s in survivors),
         "elapsed_s": round(time.monotonic() - started, 1),
         "survivors": survivors,
     }
-    # one file per revision, one entry per module: a run replaces its own
-    # module's entry and keeps the others
-    path = ROOT / f"MUTANTS_{revision}.json"
-    runs = json.loads(path.read_text()) if path.exists() else {"revision": revision, "modules": {}}
-    runs["modules"][args.module] = report
+    # one entry per module: a run replaces its own module's entry and keeps
+    # the others; the hash says which source each entry measured
+    path = ROOT / "MUTANTS.json"
+    runs = json.loads(path.read_text()) if path.exists() else {}
+    runs[args.module] = report
     path.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
     print(f"{counts['killed']} killed, {counts['survived']} survived "
           f"({report['equivalent']} equivalent), {counts['timed_out']} timed out: {path}")
