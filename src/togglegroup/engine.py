@@ -38,7 +38,8 @@ a cycle decomposition.  It can only ever prove a group large, so callers
 keep the chain for membership and for every order it leaves open.
 
 Internally image tables are numpy arrays (composition is fancy indexing,
-which is what the construction spends its time on); the public surface
+which is what the construction spends its time on), and numpy is imported
+by the methods that build them, not by the module; the public surface
 speaks :class:`~togglegroup.perms.Permutation` values only.  Each
 transversal is stored once, as the inverses of its coset representatives:
 sifting only ever strips a representative, and a new representative's
@@ -64,8 +65,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .perms import DegreeMismatchError, Permutation
 
 __all__ = [
@@ -83,6 +82,7 @@ _JORDAN_STEP_LIMIT = 1000
 
 
 def _invert(a: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.empty_like(a)
     out[a] = np.arange(len(a), dtype=a.dtype)
     return out
@@ -101,6 +101,7 @@ class StabilizerChain:
     # -- construction ------------------------------------------------------
 
     def __init__(self, generators: Iterable[Permutation], degree: int) -> None:
+        import numpy as np
         if degree < 1:
             raise ValueError("degree must be at least 1")
         generators = list(generators)
@@ -171,6 +172,7 @@ class StabilizerChain:
         in its leading class, whose bit the later vectors have cleared.  The
         orbit sizes multiply to the proved order, so the generators' group
         is this one once every generator sifts to the identity."""
+        import numpy as np
         ident = self._ident
 
         def cycles(at: np.ndarray, i, x, y) -> np.ndarray:
@@ -212,6 +214,7 @@ class StabilizerChain:
                 level.append(r)
 
     def _append_level(self, r: np.ndarray) -> None:
+        import numpy as np
         # the new base point is the first point that table r moves
         base_point = int(np.nonzero(r != self._ident)[0][0])
         self._base.append(base_point)
@@ -253,6 +256,7 @@ class StabilizerChain:
             chunk = found
 
     def _first_unwitnessed(self, i):
+        import numpy as np
         # first pending Schreier generator of level i that does not sift to
         # the identity through the deeper levels, or None; a failing pair
         # stays queued so it is re-checked after the deeper levels grow.
@@ -327,6 +331,7 @@ class StabilizerChain:
 
     def contains(self, g: Permutation) -> bool:
         """Membership by sifting through the transversals."""
+        import numpy as np
         if g.degree != self.degree:
             raise DegreeMismatchError(
                 f"element of degree {g.degree} cannot lie in a group on 1..{self.degree}"
@@ -348,6 +353,7 @@ class StabilizerChain:
     def first_missing_three_cycle(self) -> Permutation | None:
         """The first 3-cycle (i,i+1,i+2), by ascending i, that is not a
         member, or None when the group holds them all."""
+        import numpy as np
         m = self.degree
         for i in range(m - 2):
             img = np.arange(m, dtype=np.intp)
@@ -359,6 +365,7 @@ class StabilizerChain:
 
     def validate(self) -> None:
         """Re-check the structural invariants; raises ValueError on damage."""
+        import numpy as np
         if len(set(self._base)) != len(self._base):
             raise ValueError("base points are not distinct")
         for i, b in enumerate(self._base):

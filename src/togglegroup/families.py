@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fibindex import fib, rank_masks, unrank_masks
 from .graphs import toggle_path_masks
 from .perms import DegreeMismatchError, Permutation
@@ -40,6 +38,7 @@ __all__ = [
 
 
 def _member_row(k: int, n: int) -> np.ndarray:
+    import numpy as np
     # the 0-based image table of member k at size n >= k, filled in place:
     # the block swap at size k, then the identity at size k-1 shifted into
     # the top block of size k+1, then for each size m >= k+2 the table at

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 __all__ = [
     "FIB_CEILING",
     "FibCeilingError",
@@ -107,6 +105,7 @@ def unrank_masks(n: int) -> np.ndarray:
     Ranks 1..f(n+1) are the sets without vertex n; adding vertex n to the
     sets of the path on 1..n-2 gives the remaining f(n) ranks, in order.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("n must be at least 1")
     shorter, masks = np.zeros(1, dtype=np.int64), np.array([0, 1], dtype=np.int64)
@@ -118,6 +117,7 @@ def unrank_masks(n: int) -> np.ndarray:
 def rank_masks(masks: np.ndarray) -> np.ndarray:
     """The ranks of an array of independent-set bitmasks: 1 + sum of f(v+1)
     over the set bits.  Independence is not checked."""
+    import numpy as np
     ranks = np.ones(masks.shape, dtype=np.int64)
     for v in range(1, int(masks.max(initial=0)).bit_length() + 1):
         ranks += ((masks >> (v - 1)) & 1) * fib(v + 1)

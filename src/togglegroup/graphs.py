@@ -13,8 +13,6 @@ from __future__ import annotations
 import gc
 from typing import Iterable
 
-import numpy as np
-
 from .fibindex import _independent_set
 from .perms import _is_decimal
 
@@ -66,6 +64,7 @@ def toggle_path_masks(k: int, masks: np.ndarray) -> np.ndarray:
     """The toggle at vertex k applied to an array of independent-set
     bitmasks of a path: a set holding k loses it, a set holding a
     neighbour of k is unchanged, and any other set gains k."""
+    import numpy as np
     bit, neighbours = 1 << (k - 1), (5 << k) >> 2  # bits k-2 and k: vertices k-1, k+1
     return masks ^ np.where(masks & neighbours, 0, bit)
 

@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .engine import StabilizerChain, build_chain, jordan_certificate
 from .families import (
     DiagonalSubgroupSpec,
@@ -134,6 +132,7 @@ def _no_table(claim: str, n: int, k: int) -> VerificationReport:
 
 
 def _first_out_of_range(table: np.ndarray, count: int) -> Optional[int]:
+    import numpy as np
     # the first position of a 0-based table whose entry is not a position
     # 0..count-1, or None; a table in range costs one min and one max
     if table.min() >= 0 and table.max() < count:
@@ -151,6 +150,7 @@ def verify_intertwining(n: int) -> VerificationReport:
     another degree fails with the two degrees.  The family's members are
     built one k at a time, as image tables.
     """
+    import numpy as np
     claim = "intertwining"
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -306,6 +306,7 @@ def verify_three_cycles(n: int, *, _certificate: object = _UNSET) -> Verificatio
 def verify_coxeter_relations(n: int) -> VerificationReport:
     """Toggle relations on ranks: involutions, distant pairs commute, and
     adjacent products have order dividing 6."""
+    import numpy as np
     claim = "coxeter-relations"
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -340,6 +341,7 @@ def verify_coxeter_relations(n: int) -> VerificationReport:
 
 def verify_count_and_transitivity(n: int) -> VerificationReport:
     """There are f(n+2) independent sets and the toggles connect them all."""
+    import numpy as np
     claim = "count-transitivity"
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -496,6 +496,55 @@ def fresh_process(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+# imports the package, runs the command given as JSON in argv[1] (none for
+# an empty list) with its output discarded, and prints the numpy modules
+# the interpreter then holds
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import togglegroup
+from togglegroup import cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))))
+"""
+
+
+def numpy_modules_after(argv):
+    """The numpy modules a fresh interpreter has loaded once it has
+    imported the package and run one command in-process."""
+    src = str(Path(togglegroup.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestNumpyStaysUnloaded:
+    """numpy is imported by the functions that build arrays, so importing
+    the package and the scalar commands never load it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["index", "--n", "10", "--set", "{1,3}"],
+            ["unindex", "--n", "10", "--idx", "50"],
+            ["toggle", "--n", "10", "--k", "2", "--set", "{1,3}"],
+        ],
+        ids=lambda argv: " ".join(argv) or "import",
+    )
+    def test_scalar_work_loads_no_numpy(self, argv):
+        assert numpy_modules_after(argv) == []
+
+    def test_a_toggle_table_loads_numpy(self):
+        # the control: the probe does see numpy once an array is built
+        assert "numpy" in numpy_modules_after(["toggle-perm", "--n", "4", "--k", "2"])
+
+
 class TestParserReuse:
     """main parses with one parser per process; a call must not see what an
     earlier call in the same process did."""

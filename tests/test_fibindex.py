@@ -165,6 +165,15 @@ class TestUnrank:
             for s in all_independent_sets(n):
                 assert unrank(n, rank(n, s)) == s
 
+    @pytest.mark.parametrize("n", [FIB_CEILING - 3, FIB_CEILING - 2])
+    def test_round_trips_at_the_fibonacci_ceiling(self, n):
+        # the two longest paths whose f(n+2) sets the ceiling admits; decoding
+        # a set that holds n or n-1 must read no weight past f(n+1)
+        for idx in (fib(n + 2), fib(n + 1) + 1, fib(n + 1)):
+            members = unrank(n, idx)
+            assert max(members) >= n - 1
+            assert rank(n, members) == idx
+
 
 class TestZeckendorf:
     @given(ranked_sets())
@@ -206,6 +215,13 @@ class TestZeckendorf:
         members = frozenset(range(1, MAX_CLI_N, 2))
         mask = sum(1 << (v - 1) for v in members)
         assert rank_masks(np.array([mask])).tolist() == [rank(MAX_CLI_N, members)]
+
+    def test_rank_masks_agrees_with_rank_up_to_the_ceiling(self):
+        # vertex 63 is the last whose weight f(64) the ceiling admits, and
+        # its bit is the highest an int64 mask holds below the sign
+        vertices = range(1, FIB_CEILING)
+        masks = np.array([1 << (v - 1) for v in vertices], dtype=np.int64)
+        assert rank_masks(masks).tolist() == [rank(v, {v}) for v in vertices]
 
 
 def shifted_ranks(n):

@@ -77,6 +77,19 @@ EQUIVALENT = {
         "`<` -> `<=`",
     ): "<= also admits a g that sends a low point to f(n)+1; every embedding fixes "
     "f(n)+1, so g still differs from the embedding of its low table",
+    ("fibindex", "while len(table) < size:", 10, "`<` -> `<=`"):
+    "the table gains f(65), which no call reads: fib raises past FIB_CEILING "
+    "before it indexes the table",
+    ("fibindex", "_table = _fib_table(FIB_CEILING + 1)", 34, "1 -> 2"):
+    "the table gains f(65), which no call reads: fib raises past FIB_CEILING "
+    "before it indexes the table",
+    (
+        "fibindex",
+        "for v in range(1, int(masks.max(initial=0)).bit_length() + 1):",
+        44,
+        "0 -> 1",
+    ): "the maximum differs only when every mask is 0 or there is none; the one "
+    "extra pass, at v = 1, adds f(2) times bit 0, which is 0 in every mask",
 }
 
 _COMPARE = {
