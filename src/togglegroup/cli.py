@@ -6,7 +6,8 @@ families, exact group orders and the verification harness.  Exit codes:
 3 resource bound exceeded.
 
 ``_emit`` is the one writer, and it streams.  Text is printed line by line
-as it is made.  JSON is the payload's compact sorted dump; ``enumerate``
+as it is made; ``enumerate`` hands over a slice's lines joined, one print
+per slice.  JSON is the payload's compact sorted dump; ``enumerate``
 and ``generators`` hand over the items of its one empty list in pieces,
 each printed as it is made, so neither holds its whole answer.
 
@@ -100,11 +101,12 @@ def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload, item_lis
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_materializable(args.n)
-    # a slice of the rank-ordered masks at a time, each set's text written
-    # as it is printed: the listing is never held whole, as sets or as text
+    # a slice of the rank-ordered masks at a time, its text written as it is
+    # printed, one print per slice: the listing is never held whole, as sets
+    # or as text
     masks, size = unrank_masks(args.n), _ENUMERATE_SLICE
     slices = (enumerate(masks[i : i + size].tolist(), i + 1) for i in range(0, len(masks), size))
-    lines = (f"{idx} {_mask_text(mask)}" for rows in slices for idx, mask in rows)
+    lines = ("\n".join(f"{idx} {_mask_text(mask)}" for idx, mask in rows) for rows in slices)
     items = ([{"index": idx, "set": _mask_text(mask)} for idx, mask in rows] for rows in slices)
     _emit(args, lines, [], items)
     return EXIT_OK

@@ -31,11 +31,13 @@ The paper's claim that the family generates all of S_degree needs no
 chain at all: :func:`jordan_certificate` proves that generators contain
 A_degree from their transitivity and one product with a long prime
 cycle, in O(degree) memory, where the degree-377 chain's transversals
-take about 215 MB.  Its walk composes raw image tuples and reads each
-product only for its one cycle longer than half the degree, with a scan
-that stops once at most half the points are left unseen; it never builds
-a cycle decomposition.  It can only ever prove a group large, so callers
-keep the chain for membership and for every order it leaves open.
+take about 215 MB.  Its walk composes raw image tuples, each step one
+C-level gather (an ``operator.itemgetter`` of the generator's table, made
+once per generator), and reads each product only for its one cycle longer
+than half the degree, with a scan that stops once at most half the points
+are left unseen; it never builds a cycle decomposition.  It can only ever
+prove a group large, so callers keep the chain for membership and for
+every order it leaves open.
 
 Internally image tables are numpy arrays (composition is fancy indexing,
 which is what the construction spends its time on), and numpy is imported
@@ -45,7 +47,9 @@ transversal is stored once, as the inverses of its coset representatives:
 sifting only ever strips a representative, and a new representative's
 inverse is a product of stored inverses.  The transversal's dict is also
 the basic orbit's only record: its keys are the orbit points in discovery
-order.
+order.  A written chain makes each class's inverse 3-cycles as one table,
+one scatter for all its levels, and each level's dict holds row views of
+it; one comparison on the base columns places every strong generator.
 
 The verified build only sees the groups a proof leaves open, which for
 the paper's families are small: degree 2..21 (the family at n <= 3, the
@@ -63,6 +67,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .perms import DegreeMismatchError, Permutation
@@ -187,11 +192,20 @@ class StabilizerChain:
         strong = list(raws)
         for at in positions:
             a = len(at)
-            for i in range(a - 2):
-                xs = np.arange(i + 1, a)  # the stored inverse of (i x y) is (i y x)
-                inverses = cycles(at, np.full_like(xs, i), np.where(xs < a - 1, a - 1, a - 2), xs)
-                self._base.append(at.item(i, 0))
-                self._tinv.append({at.item(i, 0): ident, **dict(zip(at[xs, 0].tolist(), inverses))})
+            # the class's every (i, x) in one table, level by level and x
+            # ascending; the stored inverse of (i x y) is (i y x), and each
+            # level's dict takes row views of its stretch
+            i, x = np.triu_indices(a - 2, 1, a)
+            inverses = cycles(at, i, np.where(x < a - 1, a - 1, a - 2), x)
+            points = at[x, 0].tolist()
+            start = 0
+            for level in range(a - 2):
+                stop = start + a - 1 - level
+                self._base.append(at.item(level, 0))
+                self._tinv.append(
+                    {at.item(level, 0): ident, **dict(zip(points[start:stop], inverses[start:stop]))}
+                )
+                start = stop
             first = np.arange(a - 2)
             strong.extend(cycles(at, first, first + 1, first + 2))
         for v in basis:
@@ -206,10 +220,13 @@ class StabilizerChain:
         if any(self._sift_raw(r, 0)[0].tobytes() != self._ident_bytes for r in raws):
             raise RuntimeError("a generator lies outside the group its proof describes")
         # the inputs first, each strong generator on every level up to the
-        # first whose base point it moves (every member but the identity has one)
+        # first whose base point it moves (every member but the identity
+        # has one), all found by one comparison on the base columns
         self._gens = [[] for _ in self._base]
-        for r in strong:
-            d = next(i for i, b in enumerate(self._base) if r.item(b) != b)
+        if not strong:
+            return
+        base = np.array(self._base, dtype=np.intp)
+        for r, d in zip(strong, (np.array(strong)[:, base] != base).argmax(1).tolist()):
             for level in self._gens[: d + 1]:
                 level.append(r)
 
@@ -496,12 +513,14 @@ def jordan_certificate(
     if len(orbit(gens, 1)) != degree:
         return None
     rng = random.Random(_JORDAN_SEED)
-    raws = [g._img for g in gens]
+    # steps[i](product) is product * gens[i], one C-level gather; the
+    # degree is at least 8 here, so each gather returns a tuple
+    steps = [itemgetter(*g._img) for g in gens]
     product = tuple(range(degree))
     word = []
     for _ in range(_JORDAN_STEP_LIMIT):
         i = rng.randrange(len(gens))
-        product = tuple(map(product.__getitem__, raws[i]))  # product * gens[i]
+        product = steps[i](product)
         word.append(i + 1)
         p = _long_cycle(product)
         if p and p <= degree - 3 and _is_prime(p):

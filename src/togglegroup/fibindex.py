@@ -9,8 +9,9 @@ disguise: vertex v carries the weight f(v+1), and
 An independent set has no two adjacent vertices, so the weights it sums
 are non-consecutive Fibonacci numbers and every rank - 1 in 0..f(n+2)-1
 has exactly one such sum.  The rank does not depend on n beyond the range
-check.  ``unrank`` is greedy Zeckendorf decoding: from vertex n down, take
-v whenever f(v+1) still fits into the remainder.
+check, and both directions admit n only while f(n+2) lies within the
+ceiling, n <= 62.  ``unrank`` is greedy Zeckendorf decoding: from vertex n
+down, take v whenever f(v+1) still fits into the remainder.
 
 The same bijection works on whole tables of sets held as bitmasks (bit
 v-1 stands for vertex v): :func:`unrank_masks` lists the masks of ranks
@@ -75,8 +76,13 @@ def _independent_set(n: int, members: Iterable[int]) -> frozenset[int]:
 
 
 def rank(n: int, members: Iterable[int]) -> int:
-    """The index in 1..f(n+2) of an independent set of the path on 1..n."""
-    return 1 + sum(fib(v + 1) for v in _independent_set(n, members))
+    """The index in 1..f(n+2) of an independent set of the path on 1..n.
+
+    Like :func:`unrank`, it admits only the paths whose f(n+2) lies within
+    the ceiling, and raises :class:`FibCeilingError` past it."""
+    s = _independent_set(n, members)
+    fib(n + 2)  # the range's ceiling check, the one unrank makes
+    return 1 + sum(fib(v + 1) for v in s)
 
 
 def unrank(n: int, idx: int) -> frozenset[int]:

@@ -5,6 +5,10 @@ are 1-based in all public signatures and in cycle text.  Permutations of
 different degrees never coerce silently; embedding into a larger symmetric
 group is the explicit :meth:`Permutation.extend`.
 
+``g * h`` is one C-level gather, ``operator.itemgetter(*h)`` applied to
+g's image table, which builds the product's tuple without a Python-level
+call per point.
+
 :func:`format_cycles` writes the canonical text in one pass over the image
 table, with no intermediate decomposition: each 2-cycle, the whole of an
 involution such as a family member or the block swap, is one f-string, and
@@ -14,7 +18,7 @@ decomposition, and the text it gives is the formatter's test reference.
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -130,7 +134,9 @@ class Permutation:
             raise DegreeMismatchError(
                 f"cannot compose degree {len(a)} with degree {len(b)}"
             )
-        return Permutation._from_raw(tuple(map(a.__getitem__, b)))
+        # one C-level gather; with a single index itemgetter returns the
+        # bare entry, so degree 1 builds its tuple itself
+        return Permutation._from_raw(itemgetter(*b)(a) if len(b) > 1 else (a[b[0]],))
 
     def inverse(self) -> "Permutation":
         img = self._img

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from conftest import brute_force_closure, random_permutation
@@ -330,6 +331,20 @@ def _chain_digest(generator_sets):
     return h.hexdigest()
 
 
+def _transversal_digest(generator_sets):
+    # each chain validated, then every (level, orbit point, stored inverse
+    # table) in discovery order, the table as little-endian int64 bytes
+    h = hashlib.sha256()
+    for generators, degree in generator_sets:
+        chain = build_chain(list(generators), degree)
+        chain.validate()
+        for level, tinv in enumerate(chain._tinv):
+            for point, inverse in tinv.items():
+                h.update(repr((level, point)).encode())
+                h.update(np.asarray(inverse, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 class TestPinnedChains:
     """A chain is a deterministic function of the generator order.  These
     SHA-256 digests of (base, basic orbits in discovery order, strong
@@ -359,6 +374,14 @@ class TestPinnedChains:
             assert _proved_order(generators, degree) is None
         digest = _chain_digest(sets)
         assert digest == "1818c2250d6de174144becdf4d23c50b89f88b0e65a9b2ede3c284f17c8c6a24"
+
+    def test_written_transversals(self):
+        # the chains written from a proof, down to every stored inverse
+        # table, which the digests above do not read
+        digest = _transversal_digest((prime_family(n), fib(n + 2)) for n in range(7, 11))
+        assert digest == "edc3dc0f276fc7922c750182d1ac29e17515684fe99dd67f11463bd63ce8ff27"
+        digest = _transversal_digest((family(n), fib(n + 2)) for n in range(4, 11))
+        assert digest == "287ed8cff519b71b9482cfcf5f30976607f8bed42c961468353441511bab52d8"
 
 
 def _power(g, e):

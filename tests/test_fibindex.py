@@ -130,6 +130,16 @@ class TestRank:
         with pytest.raises(ValueError):
             rank(3, {4})
 
+    def test_rejects_paths_past_the_fibonacci_ceiling(self):
+        # the same bound as unrank: f(n+2) must lie within the ceiling
+        for n, members in ((63, {63}), (63, ()), (70, {1})):
+            with pytest.raises(FibCeilingError) as raised:
+                rank(n, members)
+            assert str(raised.value) == f"Fibonacci index {n + 2} exceeds ceiling 64"
+        with pytest.raises(FibCeilingError, match=r"^Fibonacci index 65 exceeds ceiling 64$"):
+            unrank(63, 1)
+        assert rank(62, {62}) == 1 + fib(63)
+
     def test_monotone_nesting(self):
         # a small rank means the set lives in a shorter path with equal rank
         for n in range(2, 12):
@@ -221,7 +231,10 @@ class TestZeckendorf:
         # its bit is the highest an int64 mask holds below the sign
         vertices = range(1, FIB_CEILING)
         masks = np.array([1 << (v - 1) for v in vertices], dtype=np.int64)
-        assert rank_masks(masks).tolist() == [rank(v, {v}) for v in vertices]
+        # rank admits paths up to n = 62 only, so vertex 63's reference is
+        # 1 + its weight, the sum rank makes for every other vertex
+        expected = [rank(v, {v}) for v in vertices[:-1]] + [1 + fib(FIB_CEILING)]
+        assert rank_masks(masks).tolist() == expected
 
 
 def shifted_ranks(n):

@@ -100,6 +100,15 @@ class TestCompose:
         with pytest.raises(DegreeMismatchError):
             perm("(1,2)", 2) * perm("(1,2)", 3)
 
+    def test_degree_one_product_is_a_table(self):
+        # a one-point gather returns the bare entry, not a tuple
+        e = Permutation.identity(1)
+        assert (e * e)._img == (0,)
+
+    def test_degree_two_products(self):
+        s, e = perm("(1,2)", 2), Permutation.identity(2)
+        assert [(s * e)._img, (e * s)._img, (s * s)._img] == [(1, 0), (1, 0), (0, 1)]
+
 
 class TestInverseConjugateParity:
     def test_transposition_self_inverse(self):
@@ -234,8 +243,9 @@ def permutation_pairs(draw, max_degree=10):
 
 
 class TestProperties:
-    @given(permutation_pairs())
+    @given(permutation_pairs(max_degree=400))
     def test_compose_matches_pointwise_application(self, pair):
+        # up to degree 400, as large as the Jordan walk's degree 377
         g, h = pair
         gh = g * h
         assert all(gh.apply(x) == g.apply(h.apply(x)) for x in range(1, g.degree + 1))
