@@ -324,10 +324,6 @@ class StabilizerChain:
         """The base points, 1-based."""
         return tuple(b + 1 for b in self._base)
 
-    def basic_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Per level, the basic orbit (1-based, in discovery order)."""
-        return tuple(tuple(p + 1 for p in tinv) for tinv in self._tinv)
-
     def basic_orbit_sizes(self) -> tuple[int, ...]:
         return tuple(map(len, self._tinv))
 
@@ -360,13 +356,6 @@ class StabilizerChain:
         """Whether the group is all of S_degree: its order is degree!."""
         return self.order() == math.factorial(self.degree)
 
-    def contains_alternating(self) -> bool:
-        """Whether every 3-cycle (i,i+1,i+2) is a member; these generate
-        the alternating group on 1..degree."""
-        if self.degree < 3:
-            raise ValueError("alternating-group check needs degree at least 3")
-        return self.first_missing_three_cycle() is None
-
     def first_missing_three_cycle(self) -> Permutation | None:
         """The first 3-cycle (i,i+1,i+2), by ascending i, that is not a
         member, or None when the group holds them all."""
@@ -379,21 +368,6 @@ class StabilizerChain:
             if residue.tobytes() != self._ident_bytes:
                 return Permutation._from_raw(tuple(img.tolist()))
         return None
-
-    def validate(self) -> None:
-        """Re-check the structural invariants; raises ValueError on damage."""
-        import numpy as np
-        if len(set(self._base)) != len(self._base):
-            raise ValueError("base points are not distinct")
-        for i, b in enumerate(self._base):
-            for r in self._gens[i]:
-                if any(r[self._base[j]] != self._base[j] for j in range(i)):
-                    raise ValueError(f"level {i} generator moves an earlier base point")
-            for p, u in self._tinv[i].items():
-                if not np.array_equal(np.sort(u), self._ident):
-                    raise ValueError(f"transversal entry at level {i} is not a bijection")
-                if u[p] != b:
-                    raise ValueError(f"transversal entry at level {i} misses its point")
 
     def __repr__(self) -> str:
         return (

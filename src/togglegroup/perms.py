@@ -2,8 +2,8 @@
 
 Composition is right-to-left everywhere: ``(g * h)(x) == g(h(x))``.  Points
 are 1-based in all public signatures and in cycle text.  Permutations of
-different degrees never coerce silently; embedding into a larger symmetric
-group is the explicit :meth:`Permutation.extend`.
+different degrees never coerce silently: composing them raises
+:class:`DegreeMismatchError`.
 
 ``g * h`` is one C-level gather, ``operator.itemgetter(*h)`` applied to
 g's image table, which builds the product's tuple without a Python-level
@@ -145,18 +145,6 @@ class Permutation:
             out[j] = i
         return Permutation._from_raw(tuple(out))
 
-    def conjugate(self, by: "Permutation") -> "Permutation":
-        """Return ``by * self * by.inverse()`` (relabels cycle entries by `by`)."""
-        img, b = self._img, by._img
-        if len(img) != len(b):
-            raise DegreeMismatchError(
-                f"cannot conjugate degree {len(img)} by degree {len(b)}"
-            )
-        out = [0] * len(img)
-        for i, gi in enumerate(img):
-            out[b[i]] = b[gi]
-        return Permutation._from_raw(tuple(out))
-
     def parity(self) -> int:
         """+1 for even permutations, -1 for odd ones."""
         # a cycle of length l is a product of l-1 transpositions, so the
@@ -176,19 +164,6 @@ class Permutation:
                 seen[j] = 1
                 j = img[j]
         return 1 if (len(img) - cycles) % 2 == 0 else -1
-
-    def extend(self, degree: int) -> "Permutation":
-        """Embed into S_degree, fixing the new points."""
-        m = len(self._img)
-        if degree < m:
-            raise ValueError(f"cannot extend degree {m} down to {degree}")
-        if degree == m:
-            return self
-        return Permutation._from_raw(self._img + tuple(range(m, degree)))
-
-    def support(self) -> frozenset[int]:
-        """The 1-based points moved by this permutation."""
-        return frozenset(i + 1 for i, j in enumerate(self._img) if i != j)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """The canonical cycle decomposition: the cycles of length >= 2,

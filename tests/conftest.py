@@ -47,3 +47,18 @@ def random_permutation(rng: random.Random, degree: int) -> Permutation:
     images = list(range(1, degree + 1))
     rng.shuffle(images)
     return Permutation(images)
+
+
+def extend(g: Permutation, degree: int) -> Permutation:
+    """g in S_degree, fixing the points above its own degree."""
+    return Permutation(g.images + tuple(range(g.degree + 1, degree + 1)))
+
+
+def conjugate(g: Permutation, by: Permutation) -> Permutation:
+    """``by * g * by⁻¹``: g with each cycle entry relabelled by ``by``."""
+    return by * g * by.inverse()
+
+
+def support(g: Permutation) -> frozenset[int]:
+    """The points g moves."""
+    return frozenset(x for x, y in enumerate(g.images, 1) if x != y)

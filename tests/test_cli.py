@@ -674,10 +674,10 @@ class TestDispatch:
 # taken when the pins were added.  A mismatch is an output change: the
 # text, the JSON or the exit code differs from what was printed before.
 OUTPUT_PINS = (
-    ("verify --max-n 12 --profile full", 1, "8566e6fd033342619ec0dc14b2d821e12a337813ff73f12f9f689342a7d4c8da"),
-    ("verify --max-n 10 --profile full --format json", 1, "d9498a0b6ec7314e747387dc3911bc42680ba3c1c28103c191c36e74060287b4"),
-    ("verify --max-n 4", 1, "f148c4ac36d3e4387b527d5545074395f0bde7a158216b73edfcc8c015d28cab"),
-    ("verify --max-n 4 --format json", 1, "cb3316c05f9836c72e61613e68e7368b115b1018847471b6f79534fe5c5f7dee"),
+    ("verify --max-n 12 --profile full", 1, "727dcc0b0f60458c2097eeb2da42893bbaaef3cef4178b85c4a7df0a6f603e25"),
+    ("verify --max-n 10 --profile full --format json", 1, "6993552868aabce6b556c6794006c408374e86741fbf14d76839db155fe8da65"),
+    ("verify --max-n 4", 1, "f5a333de277c67daaef50217ab07b34ccbf1a8a5f6a7063cc0affa43ac101990"),
+    ("verify --max-n 4 --format json", 1, "22b0ef80ae9457c8e9703ef84d4a625e11f9e436fa4126fc1d50438925404c41"),
     ("enumerate --n 5", 0, "effb33b24c4f91ab40ff53b63c8345f256ffa09aa4352c23b5e5c63b89b1cff7"),
     ("enumerate --n 5 --format json", 0, "139fbf371aee2d23408b7cb1df889531de7044bd3284fb2faeb1e22a00a8a361"),
     ("index --n 6 --set {1,3,6}", 0, "599c374f3b906b39ffa0a02c441cb595d9ed3466209dced059ebc1be81557374"),
@@ -734,11 +734,13 @@ class TestOutputPins:
         assert hashlib.sha256(json.dumps(list(got)).encode()).hexdigest() == digest
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_examples() -> list[tuple[list[str], list[str]]]:
     # each "$ togglegroup ..." line of README's command-line block, as argv,
     # with the lines printed under it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    block = README.split("## Command line", 1)[1].split("```", 2)[1]
     examples = []
     for line in block.splitlines():
         if line.startswith("$ togglegroup "):
@@ -771,3 +773,9 @@ class TestReadme:
             assert lines[len(lines) - len(tail) :] == tail
         else:
             assert lines == expected
+
+    def test_library_sketch_runs(self):
+        # README's Python block runs, its asserts included, so it can name
+        # no deleted function and show no stale value
+        block = README.split("## Library sketch", 1)[1].split("```python", 1)[1]
+        exec(block.split("```", 1)[0], {})

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import conjugate, extend, support
 
 from togglegroup import (
     DegreeMismatchError,
@@ -37,9 +38,9 @@ class TestBlockSwap:
     def test_moves_exactly_the_two_end_blocks(self):
         for n in range(1, 13):
             swap = block_swap(n)
-            assert len(swap.support()) == 2 * fib(n)
+            assert len(support(swap)) == 2 * fib(n)
             middle = set(range(fib(n) + 1, fib(n + 1) + 1))
-            assert swap.support().isdisjoint(middle)
+            assert support(swap).isdisjoint(middle)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -101,16 +102,16 @@ class TestGenerators:
         for n in range(2, 15):
             fam = family(n)
             assert fam[n - 1] == block_swap(n)
-            assert fam[n - 2] == generator(n - 1, n - 1).extend(fib(n + 2))
+            assert fam[n - 2] == extend(generator(n - 1, n - 1), fib(n + 2))
 
     def test_recursion_factors_have_disjoint_support(self):
         for n in range(3, 21):
             degree = fib(n + 2)
             swap = block_swap(n)
             for k in range(1, n - 1):
-                left = generator(k, n - 1).extend(degree)
-                right = generator(k, n - 2).extend(degree).conjugate(swap)
-                assert left.support().isdisjoint(right.support())
+                left = extend(generator(k, n - 1), degree)
+                right = conjugate(extend(generator(k, n - 2), degree), swap)
+                assert support(left).isdisjoint(support(right))
                 assert left * right == right * left == generator(k, n)
 
     def test_members_preserve_the_blocks(self):
@@ -200,8 +201,8 @@ class TestDiagonalEmbed:
         # the recursion's top-block step applied to one t: t * swap t swap^-1
         swap = block_swap(n)
         for t in _lows(n):
-            wide = t.extend(fib(n + 2))
-            assert diagonal_embed(n, t) == wide * wide.conjugate(swap)
+            wide = extend(t, fib(n + 2))
+            assert diagonal_embed(n, t) == wide * conjugate(wide, swap)
 
     def test_image_is_diagonal(self):
         rng = random.Random(2)

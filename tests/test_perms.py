@@ -120,39 +120,11 @@ class TestInverseConjugateParity:
     def test_identity_inverse(self):
         assert Permutation.identity(8).inverse() == Permutation.identity(8)
 
-    def test_conjugate_relabels_cycles(self):
-        # (5,3) = t (4,3) t^{-1} with t = (1,2)(4,5)
-        got = perm("(3,4)", 5).conjugate(perm("(1,2)(4,5)", 5))
-        assert format_cycles(got) == "(3,5)"
-
-    def test_conjugate_by_identity(self):
-        g = perm("(1,3)(2,4)", 5)
-        assert g.conjugate(Permutation.identity(5)) == g
-
-    def test_conjugate_three_cycle(self):
-        # derived by relabeling (1,2,3) through (1,4)(2,5): 1->4, 2->5, 3->3
-        got = perm("(1,2,3)", 5).conjugate(perm("(1,4)(2,5)", 5))
-        assert format_cycles(got) == "(3,4,5)"
-
     def test_parity_values(self):
         assert perm("(1,2)", 2).parity() == -1
         assert Permutation.identity(7).parity() == 1
         assert perm("(1,6)(2,7)(3,8)", 8).parity() == -1
         assert perm("(1,2,3)", 3).parity() == 1
-
-
-class TestExtendAndSupport:
-    def test_extend_fixes_new_points(self):
-        g = perm("(1,2)", 2).extend(5)
-        assert g.images == (2, 1, 3, 4, 5)
-
-    def test_extend_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            perm("(1,3)", 3).extend(2)
-
-    def test_support(self):
-        assert perm("(1,4)(2,5)", 5).support() == frozenset({1, 2, 4, 5})
-        assert Permutation.identity(4).support() == frozenset()
 
 
 class TestCycleText:
@@ -174,8 +146,8 @@ class TestCycleText:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "(1)", "(1,2", "1,2)", "(1,,2)", "(1,2)x", "() (1,2)", "(1,2)()", "(0,1)",
-         "(1,²)", "(1,٣)"],
+        ["", "(1)", "(1,2", "1,2)", "(1,,2)", "(1,2)x", "()x", "() (1,2)", "(1,2)()",
+         "(0,1)", "(1,²)", "(1,٣)"],
     )
     def test_malformed_text_rejected(self, text):
         with pytest.raises(CycleParseError):
@@ -254,13 +226,6 @@ class TestProperties:
     def test_inverse_law(self, g):
         assert g.inverse() * g == Permutation.identity(g.degree)
         assert g * g.inverse() == Permutation.identity(g.degree)
-
-    @given(permutation_pairs())
-    def test_conjugation_preserves_cycle_type(self, pair):
-        g, s = pair
-        lengths = sorted(len(c) for c in g.cycles())
-        conjugated = sorted(len(c) for c in g.conjugate(s).cycles())
-        assert lengths == conjugated
 
     @given(permutation_pairs())
     def test_parity_is_multiplicative(self, pair):

@@ -337,7 +337,9 @@ class TestDiagonalGeneration:
         assert verify_diagonal_generation(n).status == "fail"
 
     def test_diagonal_subgroup_is_contained(self):
-        # check (c) in isolation: embedded elements all sift, at any n
+        # the diagonal subgroup lies in the reduced family's group at every
+        # n: embedded elements all sift.  diagonal-generation samples none,
+        # since at n = 3 its order check already makes the chain that subgroup
         from togglegroup import DiagonalSubgroupSpec, build_chain, diagonal_embed, fib, prime_family
         import random
 

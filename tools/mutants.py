@@ -90,6 +90,19 @@ EQUIVALENT = {
         "0 -> 1",
     ): "the maximum differs only when every mask is 0 or there is none; the one "
     "extra pass, at v = 1, adds f(2) times bit 0, which is 0 in every mask",
+    ("perms", "out = [0] * len(img)", 15, "0 -> 1"):
+    "the image table is a bijection, so the loop writes every slot of out "
+    "before it is read",
+    ("perms", "cycles += 1", 12, "`+` -> `-`"):
+    "parity reads the count mod 2 only, and -c is c mod 2",
+    ("perms", "return 1 if (len(img) - cycles) % 2 == 0 else -1", 21, "`-` -> `+`"):
+    "m - c and m + c differ by 2c, so they have the same parity",
+    ("perms", "seen[s] = 1", 22, "1 -> 2"):
+    "the seen marks are only tested for truth, and 2 is as true as 1",
+    ("perms", "seen[j] = 1", 26, "1 -> 2"):
+    "the seen marks are only tested for truth, and 2 is as true as 1",
+    ("perms", "seen[x] = 1", 22, "1 -> 2"):
+    "the seen marks are only tested for truth, and 2 is as true as 1",
 }
 
 _COMPARE = {
