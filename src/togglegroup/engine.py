@@ -1,13 +1,19 @@
 """Exact subgroup computations from a generating set.
 
-A :class:`StabilizerChain` is a base with strong generators, basic orbits
-and transversals.  The order the engine proves before it builds, orbit by
-orbit, picks the one phase a build runs, and each phase certifies its
-chain by exactly one argument:
+A :class:`StabilizerChain` answers order and membership for the group a
+generating set spans.  The order the engine proves before it builds, orbit
+by orbit, picks the one phase a build runs, and each phase rests on
+exactly one argument:
 
-* with a proved order the chain is written from the proof's structure,
-  with no Schreier generator: its basic orbit sizes multiply to that
-  order, and every generator must sift through it to the identity;
+* with a proved order the chain keeps the proof, and ``contains`` reads
+  membership from it in O(degree), each condition a C-level gather (an
+  ``operator.itemgetter``): g fixes every point outside the orbits, maps
+  the first orbit of each class onto itself, acts on the class's other
+  orbits as on the first, through the listings that pair their points,
+  and has a sign vector over the classes in the span of the proof's GF(2)
+  basis.  These elements form a group of the proved order that holds
+  every generator, which is checked, so it is the group; no transversal
+  is stored;
 * without one (an orbit of degree 2..7, or one whose action is not
   giant), the verified build is plain deterministic incremental
   Schreier-Sims: distribute the generators along the base, then sift
@@ -21,11 +27,9 @@ equivalence of actions.  The derived group is then the product of those
 alternating groups, by Goursat's lemma for simple factors (the argument
 is in ``_proof``), and the signs of the generators give the rest:
 degree! or degree!/2 for a transitive group, f(n)! * f(n-1)! for the
-paper's reduced family at n >= 7.
-
-Either way ``order`` (the product of basic orbit sizes) and ``contains``
-(membership by sifting) are exact.  Orders are plain Python ints, which
-are arbitrary precision.
+paper's reduced family at n >= 7.  A proved chain's base, basic orbits and
+strong generators are laid out from the proof on first read.  Orders are
+plain Python ints, which are arbitrary precision.
 
 The paper's claim that the family generates all of S_degree needs no
 chain at all: :func:`jordan_certificate` proves that generators contain
@@ -39,26 +43,21 @@ are left unseen; it never builds a cycle decomposition.  It can only ever
 prove a group large, so callers keep the chain for membership and for
 every order it leaves open.
 
-Internally image tables are numpy arrays (composition is fancy indexing,
-which is what the construction spends its time on), and numpy is imported
-by the methods that build them, not by the module; the public surface
-speaks :class:`~togglegroup.perms.Permutation` values only.  Each
-transversal is stored once, as the inverses of its coset representatives:
-sifting only ever strips a representative, and a new representative's
-inverse is a product of stored inverses.  The transversal's dict is also
-the basic orbit's only record: its keys are the orbit points in discovery
-order.  A written chain makes each class's inverse 3-cycles as one table,
-one scatter for all its levels, and each level's dict holds row views of
-it; one comparison on the base columns places every strong generator.
-
-The verified build only sees the groups a proof leaves open, which for
-the paper's families are small: degree 2..21 (the family at n <= 3, the
-reduced family at n <= 6).  Its tables are then a few dozen points, and a
-numpy call costs microseconds where a scalar read costs about a hundred
-nanoseconds.  So the loops around the compositions read single points
-(``ndarray.item``) and test orbit membership on the transversal's keys, a
-sift looks at one base image per level, and whole tables are compared as
-bytes.
+The verified build's image tables are numpy arrays (composition is fancy
+indexing), and numpy is imported by the methods that build them, not by
+the module; the public surface speaks
+:class:`~togglegroup.perms.Permutation` values only.  Each transversal is
+stored once, as the inverses of its coset representatives: sifting only
+ever strips a representative, and a new representative's inverse is a
+product of stored inverses.  The transversal's dict is also the basic
+orbit's only record: its keys are the orbit points in discovery order.
+The build only sees the groups a proof leaves open, which for the paper's
+families are small: degree 2..21 (the family at n <= 3, the reduced
+family at n <= 6).  A numpy call costs microseconds where a scalar read
+costs about a hundred nanoseconds, so the loops around the compositions
+read single points (``ndarray.item``) and test orbit membership on the
+transversal's keys, a sift looks at one base image per level, and whole
+tables are compared as bytes.
 """
 
 from __future__ import annotations
@@ -97,22 +96,28 @@ class StabilizerChain:
     """Base and strong generating set for the group a generating set spans.
 
     Level i stabilizes the first i base points; its basic orbit is the
-    orbit of base point i under the level's strong generators, and the
-    transversal maps each orbit point to a coset representative sending
-    the base point there.  A finished chain is never mutated, so it can be
-    queried from concurrent contexts without synchronization.
+    orbit of base point i under the level's strong generators.  A verified
+    chain keeps a transversal per level, a proved chain its proof.  It is
+    never mutated once built but for the layout a proved chain sets on its
+    first read, alike at every read, so reads need no synchronization.
     """
 
     # -- construction ------------------------------------------------------
 
     def __init__(self, generators: Iterable[Permutation], degree: int) -> None:
-        import numpy as np
         if degree < 1:
             raise ValueError("degree must be at least 1")
         generators = list(generators)
         # the proof picks the phase; it also checks the degrees
-        proof = _proof(generators, degree)
+        self._proved = _proof(generators, degree)
         self.degree = degree
+        # the distinct inputs other than the identity, in input order
+        ident = tuple(range(degree))
+        self._inputs = [r for r in dict.fromkeys(g._img for g in generators) if r != ident]
+        if self._proved is not None:
+            self._index(*self._proved)
+            return
+        import numpy as np
         self._ident = np.arange(degree, dtype=np.intp)
         self._ident_bytes = self._ident.tobytes()
         self._base: list[int] = []            # 0-based base points
@@ -124,22 +129,10 @@ class StabilizerChain:
         self._tinv: list[dict[int, np.ndarray]] = []
         # pending (orbit point, generator index) Schreier pairs per level
         self._work: list[deque[tuple[int, int]]] = []
-
-        raws: list[np.ndarray] = []
-        seen: set[bytes] = set()
-        for g in generators:
-            r = np.array(g._img, dtype=np.intp)
-            key = r.tobytes()
-            if key != self._ident_bytes and key not in seen:
-                seen.add(key)
-                raws.append(r)
-        if proof is not None:
-            self._write(raws, *proof[1:])
-            return
         # the verified build: level i holds the generators fixing the first
         # i base points.  A generator joins every level up to the first whose
         # base point it moves, opening that level when it fixes them all
-        for r in raws:
+        for r in (np.array(img, dtype=np.intp) for img in self._inputs):
             d = next((i for i, b in enumerate(self._base) if r.item(b) != b), None)
             if d is None:
                 d = len(self._base)
@@ -162,73 +155,26 @@ class StabilizerChain:
             rinv = _invert(residue)
             for level in range(i + 1, j + 1):
                 self._add_generator(level, residue, rinv)
-                self._extend_orbit(level)
+                self._extend_orbit(level, len(self._gens[level]) - 1)
             i = j
         self._work = []  # construction is done; queues are spent
+        self._order = math.prod(map(len, self._tinv))
 
-    def _write(self, raws: list[np.ndarray], classes: list, basis: list[int]) -> None:
-        """Lay out the chain of the group ``_proof`` describes: the
-        permutations acting alike on the positions of each class's orbits,
-        with sign vectors in the span of ``basis``.  A class of degree a
-        gets levels i < a-2: base point position i of its first orbit,
-        basic orbit positions i..a-1, and at x the 3-cycle (i x y), y the
-        last position other than x, on every orbit of the class.  Each basis
-        vector then swaps the last two positions of its classes, on a level
-        in its leading class, whose bit the later vectors have cleared.  The
-        orbit sizes multiply to the proved order, so the generators' group
-        is this one once every generator sifts to the identity."""
-        import numpy as np
-        ident = self._ident
-
-        def cycles(at: np.ndarray, i, x, y) -> np.ndarray:
-            # a table per entry of i, x and y: the 3-cycle (i x y) of
-            # positions on every orbit, where row q of at lists their points
-            out = np.tile(ident, (len(x), 1))
-            rows = np.arange(len(x))[:, None]
-            out[rows, at[i]], out[rows, at[x]], out[rows, at[y]] = at[x], at[y], at[i]
-            return out
-
-        positions = [np.array(orbits, dtype=np.intp).T for orbits in classes]
-        strong = list(raws)
-        for at in positions:
-            a = len(at)
-            # the class's every (i, x) in one table, level by level and x
-            # ascending; the stored inverse of (i x y) is (i y x), and each
-            # level's dict takes row views of its stretch
-            i, x = np.triu_indices(a - 2, 1, a)
-            inverses = cycles(at, i, np.where(x < a - 1, a - 1, a - 2), x)
-            points = at[x, 0].tolist()
-            start = 0
-            for level in range(a - 2):
-                stop = start + a - 1 - level
-                self._base.append(at.item(level, 0))
-                self._tinv.append(
-                    {at.item(level, 0): ident, **dict(zip(points[start:stop], inverses[start:stop]))}
-                )
-                start = stop
-            first = np.arange(a - 2)
-            strong.extend(cycles(at, first, first + 1, first + 2))
-        for v in basis:
-            swap = ident.copy()
-            for c, at in enumerate(positions):
-                if v >> c & 1:
-                    swap[at[-2]], swap[at[-1]] = at[-1], at[-2]
-            lead = positions[v.bit_length() - 1]
-            self._base.append(lead.item(-2, 0))
-            self._tinv.append({lead.item(-2, 0): ident, lead.item(-1, 0): swap})
-            strong.append(swap)
-        if any(self._sift_raw(r, 0)[0].tobytes() != self._ident_bytes for r in raws):
+    def _index(self, order: int, classes: list, basis: list[int]) -> None:
+        # per class: a gather of its first orbit, each point's position on
+        # it (None off it), and a gather and listing per other orbit.  A
+        # basis of full rank spans every sign vector, so it is then dropped
+        self._order, self._laid = order, None
+        moved = {p for orbits in classes for o in orbits for p in o}
+        self._fixed = tuple(p for p in range(self.degree) if p not in moved)
+        self._classes = []
+        for first, *others in classes:
+            position = dict(zip(first, range(len(first))))
+            where = [position.get(p) for p in range(self.degree)]
+            self._classes.append((itemgetter(*first), where, [(itemgetter(*o), o) for o in others]))
+        self._basis = basis if len(basis) < len(classes) else None
+        if not all(map(self._has, self._inputs)):
             raise RuntimeError("a generator lies outside the group its proof describes")
-        # the inputs first, each strong generator on every level up to the
-        # first whose base point it moves (every member but the identity
-        # has one), all found by one comparison on the base columns
-        self._gens = [[] for _ in self._base]
-        if not strong:
-            return
-        base = np.array(self._base, dtype=np.intp)
-        for r, d in zip(strong, (np.array(strong)[:, base] != base).argmax(1).tolist()):
-            for level in self._gens[: d + 1]:
-                level.append(r)
 
     def _append_level(self, r: np.ndarray) -> None:
         import numpy as np
@@ -249,28 +195,28 @@ class StabilizerChain:
         self._invs[i].append(inv)
         self._work[i].extend((p, gi) for p in self._tinv[i])
 
-    def _extend_orbit(self, i: int) -> None:
+    def _extend_orbit(self, i: int, first: int = 0) -> None:
         # close the basic orbit under the level's generators; existing
         # transversal entries are kept, new points appended in scan order,
         # in rounds, generator by generator.  The orbit is already closed
-        # under every generator but the newest, so only that one finds new
-        # points in the first round.  The representative at s(p) is s
-        # composed after the one at p, so its inverse is the inverse at p
-        # composed after s^-1; each new point queues a pair per generator
+        # under the generators before index first, so the first round scans
+        # only the others.  The representative at s(p) is s composed after
+        # the one at p, so its inverse is the inverse at p composed after
+        # s^-1; each new point queues a pair per generator
         tinv = self._tinv[i]
         gens, invs = self._gens[i], self._invs[i]
         work = self._work[i]
         chunk = list(tinv)
         while chunk:
             found = []
-            for s, si in zip(gens, invs):
+            for s, si in zip(gens[first:], invs[first:]):
                 for p in chunk:
                     x = s.item(p)
                     if x not in tinv:
                         tinv[x] = tinv[p][si]
                         work.extend((x, gi) for gi in range(len(gens)))
                         found.append(x)
-            chunk = found
+            chunk, first = found, 0
 
     def _first_unwitnessed(self, i):
         import numpy as np
@@ -317,40 +263,91 @@ class StabilizerChain:
             g = iu[g]
         return g, len(base)
 
+    def _has(self, img: tuple[int, ...]) -> bool:
+        if self._proved is None:
+            import numpy as np
+            residue, _ = self._sift_raw(np.array(img, dtype=np.intp), 0)
+            return residue.tobytes() == self._ident_bytes
+        # the proof's conditions, in the module docstring's order; at holds
+        # the positions of the images of a class's first orbit
+        if tuple(map(img.__getitem__, self._fixed)) != self._fixed:
+            return False
+        signs = 0
+        for c, (first, where, others) in enumerate(self._classes):
+            at = itemgetter(*first(img))(where)
+            if None in at:
+                return False
+            copy = itemgetter(*at)
+            for images, listing in others:
+                if images(img) != copy(listing):
+                    return False
+            if self._basis is not None and Permutation._from_raw(at).parity() < 0:
+                signs |= 1 << c
+        for b in self._basis or ():
+            signs = min(signs, signs ^ b)
+        return not signs
+
+    def _layout(self) -> tuple[list[int], list, list[tuple[int, ...]]]:
+        # the base points and basic orbits (0-based, in discovery order) and
+        # the strong generators' tables; a proof lays them out on first read.
+        # A class of degree a gets levels i < a-2, base point position i of
+        # its first orbit, basic orbit positions i..a-1; each basis vector
+        # gets a level on the last two positions of its leading class.  The
+        # strong generators are the inputs, then each class's 3-cycles (i,
+        # i+1, i+2) and each vector's swap of the last two positions, on
+        # every orbit of its classes
+        if self._proved is None:
+            strong = dict.fromkeys(tuple(r.tolist()) for gens in self._gens for r in gens)
+            return self._base, self._tinv, list(strong)
+        if self._laid is None:
+            _, classes, basis = self._proved
+            base, orbits = [], []
+            strong = dict.fromkeys(self._inputs)
+            for orbs in classes:
+                first = orbs[0]
+                for i in range(len(first) - 2):
+                    base.append(first[i])
+                    orbits.append(first[i:])
+                    img = list(range(self.degree))
+                    for o in orbs:
+                        img[o[i]], img[o[i + 1]], img[o[i + 2]] = o[i + 1], o[i + 2], o[i]
+                    strong[tuple(img)] = None
+            for v in basis:
+                img = list(range(self.degree))
+                for c, orbs in enumerate(classes):
+                    for o in orbs if v >> c & 1 else ():
+                        img[o[-2]], img[o[-1]] = o[-1], o[-2]
+                first = classes[v.bit_length() - 1][0]
+                base.append(first[-2])
+                orbits.append(first[-2:])
+                strong[tuple(img)] = None
+            self._laid = base, orbits, list(strong)
+        return self._laid
+
     # -- queries -----------------------------------------------------------
 
     @property
     def base(self) -> tuple[int, ...]:
         """The base points, 1-based."""
-        return tuple(b + 1 for b in self._base)
+        return tuple(b + 1 for b in self._layout()[0])
 
     def basic_orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self._tinv))
+        return tuple(map(len, self._layout()[1]))
 
     def strong_generators(self) -> tuple[Permutation, ...]:
-        out: list[Permutation] = []
-        seen: set[bytes] = set()
-        for level_gens in self._gens:
-            for r in level_gens:
-                key = r.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Permutation._from_raw(tuple(int(v) for v in r)))
-        return tuple(out)
+        return tuple(map(Permutation._from_raw, self._layout()[2]))
 
     def order(self) -> int:
-        """Exact group order: the product of the basic orbit sizes."""
-        return math.prod(map(len, self._tinv))
+        """Exact group order, proved or the product of the basic orbit sizes."""
+        return self._order
 
     def contains(self, g: Permutation) -> bool:
-        """Membership by sifting through the transversals."""
-        import numpy as np
+        """Membership, by the proof's conditions or by sifting."""
         if g.degree != self.degree:
             raise DegreeMismatchError(
                 f"element of degree {g.degree} cannot lie in a group on 1..{self.degree}"
             )
-        residue, _ = self._sift_raw(np.array(g._img, dtype=np.intp), 0)
-        return residue.tobytes() == self._ident_bytes
+        return self._has(g._img)
 
     def is_full_symmetric(self) -> bool:
         """Whether the group is all of S_degree: its order is degree!."""
@@ -359,14 +356,11 @@ class StabilizerChain:
     def first_missing_three_cycle(self) -> Permutation | None:
         """The first 3-cycle (i,i+1,i+2), by ascending i, that is not a
         member, or None when the group holds them all."""
-        import numpy as np
         m = self.degree
         for i in range(m - 2):
-            img = np.arange(m, dtype=np.intp)
-            img[i], img[i + 1], img[i + 2] = i + 1, i + 2, i
-            residue, _ = self._sift_raw(img, 0)
-            if residue.tobytes() != self._ident_bytes:
-                return Permutation._from_raw(tuple(img.tolist()))
+            img = (*range(i), i + 1, i + 2, i, *range(i + 3, m))
+            if not self._has(img):
+                return Permutation._from_raw(img)
         return None
 
     def __repr__(self) -> str:
@@ -382,8 +376,8 @@ def build_chain(generators: Sequence[Permutation], degree: int) -> StabilizerCha
     The empty generating set gives the trivial group, and a fixed input
     order always rebuilds the identical chain.  One phase builds it.  When
     the engine proves the order orbit by orbit (every orbit's action
-    certified by :func:`jordan_certificate`), the chain is written from
-    that proof, its base points taken orbit by orbit in position order.
+    certified by :func:`jordan_certificate`), the chain keeps that proof,
+    and its base points are laid out orbit by orbit in position order.
     Otherwise the verified Schreier-Sims build runs, and each base point
     is the smallest point moved at its level.
     """
@@ -592,17 +586,23 @@ def _proof(generators: Sequence[Permutation], degree: int) -> Optional[tuple]:
     """
     gens = list(generators)
     _check_degrees(gens, degree)
+    raws = [g._img for g in gens]
+    # the orbits by smallest point, in one breadth-first pass over the domain
     orbits: list[list[int]] = []
-    covered: set[int] = set()
-    for point in range(1, degree + 1):
-        if point not in covered:
-            points = orbit(gens, point)
-            covered |= points
+    seen = bytearray(degree)
+    for start in range(degree):
+        if not seen[start]:
+            seen[start] = 1
+            points = [start]
+            for p in points:  # the loop reaches the points appended during it
+                for r in raws:
+                    if not seen[r[p]]:
+                        seen[r[p]] = 1
+                        points.append(r[p])
             if len(points) > 1:
-                orbits.append(sorted(p - 1 for p in points))
+                orbits.append(sorted(points))
     if not all(_has_jordan_prime(len(o)) for o in orbits):
         return None
-    raws = [g._img for g in gens]
     classes: list[list[list[int]]] = []
     signs = [0] * len(gens)  # per generator, bit i is its sign on class i
     order = 1

@@ -10,6 +10,7 @@ membership.  The module skips where sympy is not installed.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,7 +143,7 @@ def test_each_certificate_has_the_order_it_claims(case):
     if certificate.odd_generator is None:
         expected //= 2
     assert sympy_group(generators, degree).order() == expected
-    # the chain written from the proof has the same order
+    # the chain that keeps the proof has the same order
     assert build_chain(generators, degree).order() == expected
 
 
@@ -222,18 +223,94 @@ def test_multi_orbit_orders_match_sympy(case, rng):
             assert chain.contains(g) == group.contains(to_sympy(g))
 
 
-@pytest.mark.parametrize("a, b", [(8, 9), (9, 11), (10, 12)])
-def test_diagonal_sign_pairs_halve_the_product(a, b):
-    # fault injection: every generator is even on both orbits or odd on
-    # both, so the signs span only the diagonal of (Z/2)^2
+def _diagonal_sign_pair(a, b):
+    # every generator is even on both orbits or odd on both, so the signs
+    # span only the diagonal of (Z/2)^2
     (ta, ca), (tb, cb) = _giant_pair(a, False), _giant_pair(b, False)
     if a % 2 != b % 2:  # the two cycles differ in sign
         cb = [cb[x] for x in tb]
     place = list(range(a + b))
-    generators = [_on_blocks(place, a, ta, tb), _on_blocks(place, a, ca, cb)]
+    return [_on_blocks(place, a, ta, tb), _on_blocks(place, a, ca, cb)]
+
+
+@pytest.mark.parametrize("a, b", [(8, 9), (9, 11), (10, 12)])
+def test_diagonal_sign_pairs_halve_the_product(a, b):
+    # fault injection: the signs span only the diagonal
+    generators = _diagonal_sign_pair(a, b)
     for g in generators:
         assert g.parity() == 1
     expected = math.factorial(a) * math.factorial(b) // 2
     assert sympy_group(generators, a + b).order() == expected
     assert _proved_order(generators, a + b) == expected
     assert build_chain(generators, a + b).order() == expected
+
+
+# Near members: each probe below breaks exactly one of the conditions a
+# proved chain tests (the engine module docstring lists them), and sympy
+# judges it.
+
+
+def _random_word(rng, generators, degree):
+    word = Permutation.identity(degree)
+    for _ in range(rng.randint(0, 12)):
+        word = word * rng.choice(generators)
+    return word
+
+
+def _relabelled_on(g, orbit, y, z):
+    # g, with its action on orbit read through another relabelling: t g t
+    # there, t the transposition (y z) of two of its points, and g elsewhere
+    t = {y: z, z: y}
+    images = list(g.images)
+    for x in orbit:
+        gx = g(t.get(x, x))
+        images[x - 1] = t.get(gx, gx)
+    return Permutation(images)
+
+
+@settings(deadline=None, max_examples=40)
+@given(giant_orbit_sets(), st.randoms(use_true_random=False))
+def test_near_members_match_sympy(case, rng):
+    degree, generators = case
+    group = sympy_group(generators, degree)
+    chain = build_chain(generators, degree)
+    orbits = sorted((sorted(p + 1 for p in o) for o in group.orbits()), key=len)
+    first, second = sorted(orbits[-2:])
+    fixed = [o[0] for o in orbits[:-2]]
+    word = _random_word(rng, generators, degree)
+    if len(fixed) == 2:
+        # a member times the swap of the two fixed points
+        g = word * Permutation.from_cycles([tuple(fixed)], degree)
+        assert not group.contains(to_sympy(g)) and not chain.contains(g)
+    if len(first) == len(second):
+        # a member that moves the second orbit, read there through (y z):
+        # with z none of y, w(y) and w^-1(y), t w t differs from w at y
+        w = next(m for m in [word] + [word * g for g in generators] if any(m(x) != x for x in second))
+        y = next(x for x in second if w(x) != x)
+        z = next(x for x in second if x not in (y, w(y)) and w(x) != y)
+        g = _relabelled_on(w, second, y, z)
+        # a non-member exactly when the two orbits act alike, as one class
+        # of order at most a!; else the change is an even element of the
+        # second orbit's giant factor
+        alike = group.order() <= math.factorial(len(second))
+        assert group.contains(to_sympy(g)) is not alike
+        assert chain.contains(g) is not alike
+
+
+@pytest.mark.parametrize("a, b", [(8, 9), (9, 11), (10, 12)])
+def test_an_odd_element_of_one_orbit_alone_is_not_a_member(a, b):
+    # the action on each orbit is some member's, but one transposition
+    # gives the sign vector (1, 0) or (0, 1), outside the diagonal span;
+    # a transposition on each orbit gives (1, 1), inside it
+    degree = a + b
+    generators = _diagonal_sign_pair(a, b)
+    group, chain = sympy_group(generators, degree), build_chain(generators, degree)
+    rng = random.Random(a * b)
+    for _ in range(4):
+        word = _random_word(rng, generators, degree)
+        low = tuple(rng.sample(range(1, a + 1), 2))
+        high = tuple(rng.sample(range(a + 1, degree + 1), 2))
+        for swaps, member in (([low], False), ([high], False), ([low, high], True)):
+            g = word * Permutation.from_cycles(swaps, degree)
+            assert group.contains(to_sympy(g)) is member
+            assert chain.contains(g) is member

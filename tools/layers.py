@@ -1,5 +1,5 @@
 """In-process times of the chain layers: the Jordan walk, the proof, the
-written and the verified chain builds, and sifting.
+proved and the verified chain builds, and membership.
 
     python tools/layers.py ROOT [ROOT ...]
 
@@ -11,12 +11,14 @@ after one untimed call.  The cases:
 
 * ``walk n=4`` .. ``walk n=16``: ``jordan_certificate(family(n), f(n+2))``;
 * ``proof n=7`` .. ``proof n=10``: ``_proof`` on ``prime_family(n)``;
-* ``written n=7`` .. ``written n=10``: ``build_chain(prime_family(n))``, a
-  chain written from its proof;
+* ``proved chain n=7`` .. ``proved chain n=10``:
+  ``build_chain(prime_family(n))``, a chain that keeps its proof;
 * ``verified family n=1`` .. ``n=3`` and ``verified prime n=4`` .. ``n=6``:
   the verified Schreier-Sims builds;
-* ``sift 20 diagonal n=10``: ``contains`` on 20 seeded members of the
-  diagonal subgroup, through the chain of ``prime_family(10)``.
+* ``contains 20 diagonal n=10`` and ``contains 20 transpositions n=10``:
+  ``contains`` on the chain of ``prime_family(10)``, for 20 seeded members
+  of the diagonal subgroup and for 20 seeded transpositions of a low and a
+  middle point, which are not members.
 
 Standard output is one JSON object: per root and case the median
 milliseconds over every timed call of every round, with each round's own
@@ -59,7 +61,7 @@ for n in range(4, 17):
 for n in range(7, 11):
     cases[f"proof n={n}"] = (_proof, (prime_family(n), fib(n + 2)), repr)
 for n in range(7, 11):
-    cases[f"written n={n}"] = (build_chain, (prime_family(n), fib(n + 2)), chain_summary)
+    cases[f"proved chain n={n}"] = (build_chain, (prime_family(n), fib(n + 2)), chain_summary)
 for n in range(1, 4):
     cases[f"verified family n={n}"] = (build_chain, (family(n), fib(n + 2)), chain_summary)
 for n in range(4, 7):
@@ -69,8 +71,10 @@ rng = random.Random(10)
 chain = build_chain(prime_family(10), fib(12))
 members = [diagonal_embed(10, Permutation(rng.sample(range(1, fib(10) + 1), fib(10))))
            for _ in range(20)]
-sift = lambda: [chain.contains(g) for g in members]
-cases["sift 20 diagonal n=10"] = (sift, (), repr)
+swaps = [Permutation.from_cycles([(rng.randint(1, fib(10)), rng.randint(fib(10) + 1, fib(11)))], fib(12))
+         for _ in range(20)]
+cases["contains 20 diagonal n=10"] = (lambda: [chain.contains(g) for g in members], (), repr)
+cases["contains 20 transpositions n=10"] = (lambda: [chain.contains(g) for g in swaps], (), repr)
 
 out = {}
 for case, (func, args, summary) in cases.items():

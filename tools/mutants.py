@@ -18,8 +18,9 @@ hold no operator or int constant, so no mutant touches one.
 Every mutant runs the module's fixed test files (``TESTS``) with ``-x`` in a
 copy of the checkout, under a time limit.  A mutant those files miss is run
 again on the whole Tier-1 suite, and it survives only if that passes too.
-A survivor whose line and edit appear in ``EQUIVALENT`` is written down with
-the reason it cannot change behaviour; every other survivor wants a test.
+A survivor whose line number, text and edit appear in ``EQUIVALENT`` is
+written down with the reason it cannot change behaviour; every other
+survivor wants a test.
 
 A run runs every mutant and fills its module's entry of ``MUTANTS.json``
 with the SHA-256 of the module source it mutated, the killed, survived and
@@ -68,40 +69,49 @@ TIMEOUT_S = 120  # per pytest run; a mutant that hangs counts as timed out
 # the core count.
 MAX_MB = 3072
 
-# (module, stripped source line, column, edit): why the survivor is equivalent
+# (module, line number, stripped source line, column, edit): why the
+# survivor is equivalent.  The line number keeps one entry from covering
+# every line with the same text; an edit that moves a line leaves its
+# survivor unmarked until the entry is checked again
 EQUIVALENT = {
     (
         "families",
+        115,
         "return max(head) < len(head) and g == diagonal_embed(self.n, Permutation._from_raw(head))",
         15,
         "`<` -> `<=`",
     ): "<= also admits a g that sends a low point to f(n)+1; every embedding fixes "
     "f(n)+1, so g still differs from the embedding of its low table",
-    ("fibindex", "while len(table) < size:", 10, "`<` -> `<=`"):
+    ("fibindex", 42, "while len(table) < size:", 10, "`<` -> `<=`"):
     "the table gains f(65), which no call reads: fib raises past FIB_CEILING "
     "before it indexes the table",
-    ("fibindex", "_table = _fib_table(FIB_CEILING + 1)", 34, "1 -> 2"):
+    ("fibindex", 48, "_table = _fib_table(FIB_CEILING + 1)", 34, "1 -> 2"):
     "the table gains f(65), which no call reads: fib raises past FIB_CEILING "
     "before it indexes the table",
     (
         "fibindex",
+        128,
         "for v in range(1, int(masks.max(initial=0)).bit_length() + 1):",
         44,
         "0 -> 1",
     ): "the maximum differs only when every mask is 0 or there is none; the one "
     "extra pass, at v = 1, adds f(2) times bit 0, which is 0 in every mask",
-    ("perms", "out = [0] * len(img)", 15, "0 -> 1"):
+    ("perms", 143, "out = [0] * len(img)", 15, "0 -> 1"):
     "the image table is a bijection, so the loop writes every slot of out "
     "before it is read",
-    ("perms", "cycles += 1", 12, "`+` -> `-`"):
+    ("perms", 161, "cycles += 1", 12, "`+` -> `-`"):
     "parity reads the count mod 2 only, and -c is c mod 2",
-    ("perms", "return 1 if (len(img) - cycles) % 2 == 0 else -1", 21, "`-` -> `+`"):
+    ("perms", 166, "return 1 if (len(img) - cycles) % 2 == 0 else -1", 21, "`-` -> `+`"):
     "m - c and m + c differ by 2c, so they have the same parity",
-    ("perms", "seen[s] = 1", 22, "1 -> 2"):
+    ("perms", 178, "seen[s] = 1", 22, "1 -> 2"):
     "the seen marks are only tested for truth, and 2 is as true as 1",
-    ("perms", "seen[j] = 1", 26, "1 -> 2"):
+    ("perms", 164, "seen[j] = 1", 26, "1 -> 2"):
     "the seen marks are only tested for truth, and 2 is as true as 1",
-    ("perms", "seen[x] = 1", 22, "1 -> 2"):
+    ("perms", 181, "seen[j] = 1", 26, "1 -> 2"):
+    "the seen marks are only tested for truth, and 2 is as true as 1",
+    ("perms", 220, "seen[x] = 1", 22, "1 -> 2"):
+    "the seen marks are only tested for truth, and 2 is as true as 1",
+    ("perms", 224, "seen[x] = 1", 22, "1 -> 2"):
     "the seen marks are only tested for truth, and 2 is as true as 1",
 }
 
@@ -260,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
                     "column": column,
                     "source": text,
                     "edit": edit,
-                    "equivalent": EQUIVALENT.get((args.module, text, column, edit)),
+                    "equivalent": EQUIVALENT.get((args.module, line, text, column, edit)),
                 })
             else:
                 counts["killed" if outcome == "failed" else "timed_out"] += 1
